@@ -20,9 +20,12 @@
 // With -slo the run becomes a gate (see `make bench-server`): it exits
 // non-zero unless the interactive p99 at the highest level stays under
 // -slo-p99, interactive goodput at 2x holds -slo-goodput of its 1x
-// value, no accepted job wedges (fails to reach a terminal state), and
-// the 2x level actually exhibits overload control (rejections, sheds
-// or auto-degrades). By default the daemon runs in-process on a
+// value, no accepted job wedges (fails to reach a terminal state) or
+// fails with an error, and the 2x level actually exhibits overload
+// control (rejections, sheds or auto-degrades). Jobs the server shed
+// from its queue and jobs cancelled by their deadline while running are
+// reported apart from failed ones: they are overload control at work,
+// not errors. By default the daemon runs in-process on a
 // loopback listener; -addr points the generator at an external one
 // instead (fault injection is then unavailable).
 package main
@@ -213,7 +216,9 @@ type levelStats struct {
 	iDone     int // interactive completions
 	rejected  int // gave up after retries
 	cancelled int // our own mid-flight cancels
-	failed    int
+	shed      int // cancelled by the server while still queued (deadline expired)
+	deadline  int // cancelled by their deadline while running
+	failed    int // ended in a genuine error
 	wedged    int // accepted but never terminal
 	offered   int
 	window    time.Duration
@@ -305,8 +310,10 @@ func runLevel(cfg config, mult, capacity float64) *levelStats {
 				}
 			case v.State == "cancelled" && op >= 0.95:
 				st.cancelled++
+			case v.State == "cancelled" && strings.Contains(v.Error, "shed"):
+				st.shed++
 			case v.State == "cancelled":
-				st.failed++ // shed or deadline-cancelled under load
+				st.deadline++
 			default:
 				st.failed++
 			}
@@ -314,7 +321,7 @@ func runLevel(cfg config, mult, capacity float64) *levelStats {
 	}
 	wg.Wait()
 	st.delta = diff(snapshot(tg.url), base)
-	if acct := st.completed + st.cancelled + st.failed + st.wedged + st.rejected; acct != st.offered {
+	if acct := st.completed + st.cancelled + st.shed + st.deadline + st.failed + st.wedged + st.rejected; acct != st.offered {
 		log.Printf("x%g: accounting mismatch: %d of %d offered jobs unaccounted", mult, st.offered-acct, st.offered)
 	}
 	return st
@@ -389,6 +396,7 @@ func submitOnce(url string, s server.JobSpec) (string, int) {
 
 type jobView struct {
 	State string `json:"state"`
+	Error string `json:"error"`
 }
 
 // await polls a job to a terminal state.
@@ -464,14 +472,14 @@ func (st *levelStats) benchLine(mult float64) string {
 	return fmt.Sprintf("BenchmarkServerLoad/x%g %d %d ns/op "+
 		"%d p50-ns %d p95-ns %d p99-ns "+
 		"%.2f jobs/s %.2f goodput-jobs/s %.2f interactive-goodput-jobs/s "+
-		"%d offered %d rejected %d shed %d autodegraded %d degraded %d cancelled %d failed %d wedged",
+		"%d offered %d rejected %d shed %d autodegraded %d degraded %d cancelled %d deadline-cancelled %d failed %d wedged",
 		mult, iters, mean.Nanoseconds(),
 		percentile(st.latencies, 0.50).Nanoseconds(),
 		percentile(st.latencies, 0.95).Nanoseconds(),
 		percentile(st.latencies, 0.99).Nanoseconds(),
 		float64(st.offered)/secs, float64(st.completed)/secs, float64(st.iDone)/secs,
 		st.offered, st.rejected, st.delta.JobsShed, st.delta.JobsAutodegraded,
-		st.delta.JobsDegraded, st.cancelled, st.failed, st.wedged)
+		st.delta.JobsDegraded, st.cancelled, st.deadline, st.failed, st.wedged)
 }
 
 // checkSLOs evaluates the gate over the collected levels.
@@ -486,6 +494,11 @@ func checkSLOs(cfg config, stats map[float64]*levelStats) []string {
 	for m, st := range stats {
 		if st.wedged > 0 {
 			msgs = append(msgs, fmt.Sprintf("x%g: %d accepted jobs never reached a terminal state", m, st.wedged))
+		}
+		// Sheds and deadline cancellations are overload control doing
+		// its job; a failed job is an error the daemon should not have.
+		if st.failed > 0 {
+			msgs = append(msgs, fmt.Sprintf("x%g: %d jobs failed with an error", m, st.failed))
 		}
 	}
 	top := stats[hi]

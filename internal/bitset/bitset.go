@@ -3,9 +3,15 @@
 //
 // The hot loop of a subset-based points-to analysis is repeated
 // union-with-difference: propagate the part of a source set that the
-// destination has not seen yet. Set is tuned for that pattern: it stores
-// 64-bit words indexed from bit 0 and offers UnionDiff, which unions src
-// into dst and simultaneously collects the newly added bits.
+// destination has not seen yet. Set is tuned for that pattern: it offers
+// UnionInto, which unions src into dst and simultaneously collects the
+// newly added bits.
+//
+// A set stores only the window of 64-bit words between its lowest and
+// highest populated word (plus growth slack), starting at a word offset.
+// Most points-to sets hold a handful of objects whose IDs lie close
+// together but far from zero, so a window costs a word or two where a
+// zero-based array would cost one word per 64 smaller IDs.
 package bitset
 
 import (
@@ -18,8 +24,9 @@ const wordBits = 64
 
 // Set is a growable bit set. The zero value is an empty set ready to use.
 type Set struct {
-	words []uint64
-	count int // cached population count
+	words []uint64 // words[i] holds bits [(off+i)*64, (off+i+1)*64)
+	off   int32    // word index of words[0]
+	count int32    // cached population count
 }
 
 // New returns an empty set with capacity hint n bits.
@@ -31,7 +38,7 @@ func New(n int) *Set {
 }
 
 // Len returns the number of bits set.
-func (s *Set) Len() int { return s.count }
+func (s *Set) Len() int { return int(s.count) }
 
 // Words returns the number of 64-bit words backing the set — the
 // quantity resource budgets meter to bound live points-to memory.
@@ -40,22 +47,64 @@ func (s *Set) Words() int { return len(s.words) }
 // IsEmpty reports whether no bits are set.
 func (s *Set) IsEmpty() bool { return s.count == 0 }
 
+// end is one past the word index of the last backing word.
+func (s *Set) end() int { return int(s.off) + len(s.words) }
+
+// word returns the word at absolute word index w (0 outside the window).
+func (s *Set) word(w int) uint64 {
+	w -= int(s.off)
+	if uint(w) >= uint(len(s.words)) {
+		return 0
+	}
+	return s.words[w]
+}
+
 // Contains reports whether bit i is set. Negative i is always false.
 func (s *Set) Contains(i int) bool {
 	if i < 0 {
 		return false
 	}
-	w := i / wordBits
-	if w >= len(s.words) {
-		return false
-	}
-	return s.words[w]&(1<<(uint(i)%wordBits)) != 0
+	return s.word(i/wordBits)&(1<<(uint(i)%wordBits)) != 0
 }
 
-func (s *Set) grow(w int) {
-	for len(s.words) <= w {
-		s.words = append(s.words, 0)
+// cover extends the window to include absolute word indices [lo, hi).
+// An empty window is re-based at lo, reusing its capacity; growth at
+// either end is geometric (the window at least doubles), and growth
+// toward zero keeps slack below the data so a set filled from high IDs
+// downward does not copy itself once per word.
+func (s *Set) cover(lo, hi int) {
+	n := len(s.words)
+	if n == 0 {
+		if cap(s.words) >= hi-lo {
+			s.words = s.words[:hi-lo]
+			clear(s.words)
+		} else {
+			s.words = make([]uint64, hi-lo)
+		}
+		s.off = int32(lo)
+		return
 	}
+	off := int(s.off)
+	if lo >= off && hi <= off+n {
+		return
+	}
+	newLo, newHi := min(lo, off), max(hi, off+n)
+	if newLo == off {
+		if newHi-off <= cap(s.words) {
+			s.words = s.words[:newHi-off]
+			clear(s.words[n:])
+			return
+		}
+		w := make([]uint64, newHi-off, max(newHi-off, 2*n))
+		copy(w, s.words)
+		s.words = w
+		return
+	}
+	newLo = max(0, newLo-n)
+	w := make([]uint64, newHi-newLo, max(newHi-newLo, 2*n))
+	copy(w[off-newLo:], s.words)
+	s.words = w
+	s.off = int32(newLo)
 }
 
 // Add sets bit i and reports whether the set changed.
@@ -64,11 +113,12 @@ func (s *Set) Add(i int) bool {
 		panic("bitset: negative bit " + strconv.Itoa(i))
 	}
 	w, b := i/wordBits, uint64(1)<<(uint(i)%wordBits)
-	s.grow(w)
-	if s.words[w]&b != 0 {
+	s.cover(w, w+1)
+	p := &s.words[w-int(s.off)]
+	if *p&b != 0 {
 		return false
 	}
-	s.words[w] |= b
+	*p |= b
 	s.count++
 	return true
 }
@@ -78,8 +128,8 @@ func (s *Set) Remove(i int) bool {
 	if i < 0 {
 		return false
 	}
-	w := i / wordBits
-	if w >= len(s.words) {
+	w := i/wordBits - int(s.off)
+	if uint(w) >= uint(len(s.words)) {
 		return false
 	}
 	b := uint64(1) << (uint(i) % wordBits)
@@ -91,17 +141,17 @@ func (s *Set) Remove(i int) bool {
 	return true
 }
 
-// Clear removes all bits, keeping capacity.
+// Clear removes all bits, keeping capacity for the next use.
 func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
+	clear(s.words)
+	s.words = s.words[:0]
+	s.off = 0
 	s.count = 0
 }
 
 // Clone returns a copy of s.
 func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words)), count: s.count}
+	c := &Set{words: make([]uint64, len(s.words)), off: s.off, count: s.count}
 	copy(c.words, s.words)
 	return c
 }
@@ -111,18 +161,34 @@ func (s *Set) Union(other *Set) bool {
 	if other == nil || other.count == 0 {
 		return false
 	}
-	s.grow(len(other.words) - 1)
-	changed := false
-	for i, w := range other.words {
-		old := s.words[i]
-		nw := old | w
-		if nw != old {
-			s.words[i] = nw
-			s.count += bits.OnesCount64(nw) - bits.OnesCount64(old)
-			changed = true
+	lo, hi, ok := s.newWords(other)
+	if !ok {
+		return false
+	}
+	s.cover(lo, hi+1)
+	for w := lo; w <= hi; w++ {
+		p := &s.words[w-int(s.off)]
+		old := *p
+		nw := old | other.words[w-int(other.off)]
+		*p = nw
+		s.count += int32(bits.OnesCount64(nw) - bits.OnesCount64(old))
+	}
+	return true
+}
+
+// newWords returns the absolute word range [lo, hi] of src that holds
+// bits s lacks; ok is false when src adds nothing.
+func (s *Set) newWords(src *Set) (lo, hi int, ok bool) {
+	lo, hi = -1, -1
+	for i, w := range src.words {
+		if w&^s.word(int(src.off)+i) != 0 {
+			if lo < 0 {
+				lo = int(src.off) + i
+			}
+			hi = int(src.off) + i
 		}
 	}
-	return changed
+	return lo, hi, lo >= 0
 }
 
 // UnionDiff unions src into s and returns a set holding exactly the bits
@@ -132,21 +198,9 @@ func (s *Set) UnionDiff(src *Set) *Set {
 	if src == nil || src.count == 0 {
 		return nil
 	}
-	s.grow(len(src.words) - 1)
-	var diff *Set
-	for i, w := range src.words {
-		old := s.words[i]
-		add := w &^ old
-		if add == 0 {
-			continue
-		}
-		if diff == nil {
-			diff = &Set{words: make([]uint64, len(src.words))}
-		}
-		diff.words[i] = add
-		diff.count += bits.OnesCount64(add)
-		s.words[i] = old | add
-		s.count += bits.OnesCount64(add)
+	diff := &Set{}
+	if s.UnionInto(src, diff) == 0 {
+		return nil
 	}
 	return diff
 }
@@ -160,21 +214,27 @@ func (s *Set) UnionInto(src, diff *Set) int {
 	if src == nil || src.count == 0 {
 		return 0
 	}
-	s.grow(len(src.words) - 1)
+	lo, hi, ok := s.newWords(src)
+	if !ok {
+		return 0
+	}
+	s.cover(lo, hi+1)
+	diff.cover(lo, hi+1)
 	added := 0
-	for i, w := range src.words {
-		add := w &^ s.words[i]
+	for w := lo; w <= hi; w++ {
+		p := &s.words[w-int(s.off)]
+		add := src.words[w-int(src.off)] &^ *p
 		if add == 0 {
 			continue
 		}
-		s.words[i] |= add
-		diff.grow(i)
-		old := diff.words[i]
-		diff.words[i] = old | add
-		diff.count += bits.OnesCount64(old|add) - bits.OnesCount64(old)
+		*p |= add
+		d := &diff.words[w-int(diff.off)]
+		old := *d
+		*d = old | add
+		diff.count += int32(bits.OnesCount64(old|add) - bits.OnesCount64(old))
 		added += bits.OnesCount64(add)
 	}
-	s.count += added
+	s.count += int32(added)
 	return added
 }
 
@@ -190,14 +250,10 @@ func (s *Set) AndWith(other *Set) bool {
 	}
 	changed := false
 	for i, w := range s.words {
-		var ow uint64
-		if i < len(other.words) {
-			ow = other.words[i]
-		}
-		nw := w & ow
+		nw := w & other.word(int(s.off)+i)
 		if nw != w {
 			s.words[i] = nw
-			s.count -= bits.OnesCount64(w) - bits.OnesCount64(nw)
+			s.count -= int32(bits.OnesCount64(w) - bits.OnesCount64(nw))
 			changed = true
 		}
 	}
@@ -212,18 +268,19 @@ func IntersectInto(dst, a, b *Set) *Set {
 	if dst == nil {
 		dst = &Set{}
 	}
-	n := min(len(a.words), len(b.words))
-	dst.grow(n - 1)
+	dst.Clear()
+	lo, hi := max(int(a.off), int(b.off)), min(a.end(), b.end())
+	if lo >= hi {
+		return dst
+	}
+	dst.cover(lo, hi)
 	count := 0
-	for i := 0; i < n; i++ {
-		w := a.words[i] & b.words[i]
-		dst.words[i] = w
-		count += bits.OnesCount64(w)
+	for w := lo; w < hi; w++ {
+		x := a.words[w-int(a.off)] & b.words[w-int(b.off)]
+		dst.words[w-lo] = x
+		count += bits.OnesCount64(x)
 	}
-	for i := n; i < len(dst.words); i++ {
-		dst.words[i] = 0
-	}
-	dst.count = count
+	dst.count = int32(count)
 	return dst
 }
 
@@ -237,38 +294,34 @@ func IntersectRangeInto(dst, a *Set, lo, hi int) *Set {
 	if dst == nil {
 		dst = &Set{}
 	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(a.words)*wordBits {
-		hi = len(a.words) * wordBits
-	}
+	dst.Clear()
+	lo = max(lo, int(a.off)*wordBits)
+	hi = min(hi, a.end()*wordBits)
 	if lo >= hi {
-		dst.Clear()
 		return dst
 	}
 	loWord, hiWord := lo/wordBits, (hi-1)/wordBits
-	dst.grow(hiWord)
+	dst.cover(loWord, hiWord+1)
 	count := 0
-	for i := 0; i < loWord; i++ {
-		dst.words[i] = 0
-	}
 	for i := loWord; i <= hiWord; i++ {
-		w := a.words[i]
-		if i == loWord {
-			w &= ^uint64(0) << (uint(lo) % wordBits)
-		}
-		if i == hiWord && hi%wordBits != 0 {
-			w &= (uint64(1) << (uint(hi) % wordBits)) - 1
-		}
-		dst.words[i] = w
+		w := rangeMasked(a.words[i-int(a.off)], i, loWord, hiWord, lo, hi)
+		dst.words[i-loWord] = w
 		count += bits.OnesCount64(w)
 	}
-	for i := hiWord + 1; i < len(dst.words); i++ {
-		dst.words[i] = 0
-	}
-	dst.count = count
+	dst.count = int32(count)
 	return dst
+}
+
+// rangeMasked clears the bits of word w (absolute word index i) that
+// fall outside the bit range [lo, hi), whose words are loWord..hiWord.
+func rangeMasked(w uint64, i, loWord, hiWord, lo, hi int) uint64 {
+	if i == loWord {
+		w &= ^uint64(0) << (uint(lo) % wordBits)
+	}
+	if i == hiWord && hi%wordBits != 0 {
+		w &= (uint64(1) << (uint(hi) % wordBits)) - 1
+	}
+	return w
 }
 
 // OnesInRange returns the number of set bits in [lo, hi). It costs one
@@ -276,26 +329,15 @@ func IntersectRangeInto(dst, a *Set, lo, hi int) *Set {
 // deltas that lie entirely inside (or outside) a class's ID interval
 // and skip the copy IntersectRangeInto would make.
 func (s *Set) OnesInRange(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(s.words)*wordBits {
-		hi = len(s.words) * wordBits
-	}
+	lo = max(lo, int(s.off)*wordBits)
+	hi = min(hi, s.end()*wordBits)
 	if lo >= hi {
 		return 0
 	}
 	loWord, hiWord := lo/wordBits, (hi-1)/wordBits
 	count := 0
 	for i := loWord; i <= hiWord; i++ {
-		w := s.words[i]
-		if i == loWord {
-			w &= ^uint64(0) << (uint(lo) % wordBits)
-		}
-		if i == hiWord && hi%wordBits != 0 {
-			w &= (uint64(1) << (uint(hi) % wordBits)) - 1
-		}
-		count += bits.OnesCount64(w)
+		count += bits.OnesCount64(rangeMasked(s.words[i-int(s.off)], i, loWord, hiWord, lo, hi))
 	}
 	return count
 }
@@ -305,9 +347,9 @@ func (s *Set) Intersects(other *Set) bool {
 	if other == nil {
 		return false
 	}
-	n := min(len(s.words), len(other.words))
-	for i := 0; i < n; i++ {
-		if s.words[i]&other.words[i] != 0 {
+	lo, hi := max(int(s.off), int(other.off)), min(s.end(), other.end())
+	for w := lo; w < hi; w++ {
+		if s.words[w-int(s.off)]&other.words[w-int(other.off)] != 0 {
 			return true
 		}
 	}
@@ -320,11 +362,7 @@ func (s *Set) ContainsAll(other *Set) bool {
 		return true
 	}
 	for i, w := range other.words {
-		var sw uint64
-		if i < len(s.words) {
-			sw = s.words[i]
-		}
-		if w&^sw != 0 {
+		if w&^s.word(int(other.off)+i) != 0 {
 			return false
 		}
 	}
@@ -339,29 +377,18 @@ func (s *Set) Equal(other *Set) bool {
 	if s.count != other.count {
 		return false
 	}
-	n := max(len(s.words), len(other.words))
-	for i := 0; i < n; i++ {
-		var a, b uint64
-		if i < len(s.words) {
-			a = s.words[i]
-		}
-		if i < len(other.words) {
-			b = other.words[i]
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
+	// Equal counts make containment one way enough.
+	return s.ContainsAll(other)
 }
 
 // ForEach calls fn for each set bit in ascending order. If fn returns
 // false iteration stops early.
 func (s *Set) ForEach(fn func(i int) bool) {
+	base := int(s.off) * wordBits
 	for wi, w := range s.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
-			if !fn(wi*wordBits + b) {
+			if !fn(base + wi*wordBits + b) {
 				return
 			}
 			w &^= 1 << uint(b)
@@ -383,7 +410,7 @@ func (s *Set) Slice() []int {
 func (s *Set) Min() int {
 	for wi, w := range s.words {
 		if w != 0 {
-			return wi*wordBits + bits.TrailingZeros64(w)
+			return (int(s.off)+wi)*wordBits + bits.TrailingZeros64(w)
 		}
 	}
 	return -1

@@ -39,9 +39,12 @@ type Metrics struct {
 	TaintSinks   int
 }
 
-// Evaluate computes all client metrics from a points-to result.
+// Evaluate computes all client metrics from a points-to result. The
+// field projection both the escape and the nullness client read is
+// computed once and shared.
 func Evaluate(r *pta.Result) Metrics {
-	esc := Escape(r)
+	heap := projectHeap(r)
+	esc := escape(r, heap)
 	return Metrics{
 		CallGraphEdges:  r.NumCallGraphEdges(),
 		PolyCallSites:   len(PolyCallSites(r)),
@@ -49,10 +52,39 @@ func Evaluate(r *pta.Result) Metrics {
 		Reachable:       r.NumReachableMethods(),
 		EscapingSites:   len(esc.Escaping),
 		StackAllocSites: len(esc.Stackable),
-		MayNullLoads:    len(MayNullLoads(r)),
+		MayNullLoads:    len(mayNullLoads(r, heap)),
 		TaintedSinks:    len(TaintedSinks(r)),
 		TaintSinks:      len(TaintSinks(r)),
 	}
+}
+
+// objField names one (abstract object, field) pair.
+type objField struct {
+	o *pta.Obj
+	f *lang.Field
+}
+
+// heapFacts is the part of the field projection (pta.Result.FieldPointsTo)
+// the identity clients read: which objects are stored into some field,
+// and which (object, field) pairs have a recorded store.
+type heapFacts struct {
+	stored  map[*pta.Obj]bool
+	written map[objField]bool
+}
+
+// projectHeap walks the field projection once.
+func projectHeap(r *pta.Result) heapFacts {
+	h := heapFacts{stored: map[*pta.Obj]bool{}, written: map[objField]bool{}}
+	r.FieldPointsTo(func(base *pta.Obj, f *lang.Field, targets []*pta.Obj) {
+		if len(targets) == 0 {
+			return
+		}
+		h.written[objField{base, f}] = true
+		for _, o := range targets {
+			h.stored[o] = true
+		}
+	})
+	return h
 }
 
 // PolyCallSites returns the reachable virtual call sites that dispatch

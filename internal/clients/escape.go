@@ -10,6 +10,7 @@
 package clients
 
 import (
+	"maps"
 	"sort"
 
 	"mahjong/internal/lang"
@@ -31,19 +32,15 @@ type EscapeResult struct {
 // evaluated per *site* against the abstraction's object for that site,
 // so under a merged heap a site inherits the escape reasons of every
 // site merged with it — coarser, never less sound.
-func Escape(r *pta.Result) EscapeResult {
-	// Object-level escape facts that apply to all merged-in sites.
-	escaped := map[*pta.Obj]bool{}
+func Escape(r *pta.Result) EscapeResult { return escape(r, projectHeap(r)) }
+
+func escape(r *pta.Result, heap heapFacts) EscapeResult {
+	// Object-level escape facts that apply to all merged-in sites. Being
+	// stored into some object's field (including array elements) makes
+	// an object heap-reachable.
+	escaped := maps.Clone(heap.stored)
 	// Methods whose locals may reference the object.
 	holders := map[*pta.Obj]map[*lang.Method]bool{}
-
-	// Stored into some object's field (including array elements): the
-	// object becomes heap-reachable.
-	r.FieldPointsTo(func(base *pta.Obj, f *lang.Field, targets []*pta.Obj) {
-		for _, o := range targets {
-			escaped[o] = true
-		}
-	})
 
 	// Variables whose pointees escape by statement form: static-store
 	// sources (globally reachable) and thrown values (cross-method

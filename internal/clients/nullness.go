@@ -33,17 +33,10 @@ func (l LoadSite) String() string {
 // nullness only on the exact-equivalence axes, not Mahjong-vs-alloc-site;
 // it is exactly the kind of identity-dependent client the paper scopes
 // Mahjong away from (§1).
-func MayNullLoads(r *pta.Result) []LoadSite {
-	type objField struct {
-		o *pta.Obj
-		f *lang.Field
-	}
-	written := map[objField]bool{}
-	r.FieldPointsTo(func(base *pta.Obj, f *lang.Field, targets []*pta.Obj) {
-		if len(targets) > 0 {
-			written[objField{base, f}] = true
-		}
-	})
+func MayNullLoads(r *pta.Result) []LoadSite { return mayNullLoads(r, projectHeap(r)) }
+
+func mayNullLoads(r *pta.Result, heap heapFacts) []LoadSite {
+	written := heap.written
 
 	// One sweep resolves every load base's pointees.
 	bases := map[*lang.Var]bool{}

@@ -15,6 +15,7 @@ package fpg
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mahjong/internal/budget"
@@ -136,22 +137,50 @@ func BuildContext(ctx context.Context, r *pta.Result, opts Options) (g *Graph, e
 		g.addNode(o)
 	}
 
-	// Field points-to facts from the analysis. The callback cannot return
-	// an error, so budget exhaustion is latched in buildErr and the
-	// remaining facts are skipped cheaply.
-	type key struct {
-		node  int
-		field int
+	// Field points-to facts from the analysis, appended straight onto the
+	// base node's edge list. The callback cannot return an error, so
+	// budget exhaustion is latched in buildErr and the remaining facts
+	// are skipped cheaply. Objects map to nodes through a slice over
+	// Obj.ID, graph fields through one over Field.ID.
+	objNode := make([]int, 0, len(objs))
+	for id := 1; id < len(g.Objs); id++ {
+		o := g.Objs[id]
+		for o.ID >= len(objNode) {
+			objNode = append(objNode, 0)
+		}
+		objNode[o.ID] = id
 	}
-	edges := make(map[key][]int)
-	var buildErr error
-	var fieldFacts int64
+	nodeOf := func(o *pta.Obj) int {
+		if o.ID < len(objNode) {
+			if id := objNode[o.ID]; id != 0 && g.Objs[id] == o {
+				return id
+			}
+		}
+		return 0
+	}
+	var fieldByID []int // Field.ID -> graph field ID + 1
+	fieldOf := func(f *lang.Field) int {
+		for f.ID >= len(fieldByID) {
+			fieldByID = append(fieldByID, 0)
+		}
+		if id := fieldByID[f.ID]; id != 0 && g.Fields[id-1] == f {
+			return id - 1
+		}
+		id := g.fieldID(f)
+		fieldByID[f.ID] = id + 1
+		return id
+	}
+	var (
+		buildErr   error
+		fieldFacts int64
+		arena      []int
+	)
 	r.FieldPointsTo(func(base *pta.Obj, field *lang.Field, targets []*pta.Obj) {
 		if buildErr != nil {
 			return
 		}
-		bn, ok := g.nodeOf[base]
-		if !ok {
+		bn := nodeOf(base)
+		if bn == 0 {
 			return
 		}
 		if merr := opts.Meter.AddFacts(int64(len(targets))); merr != nil {
@@ -159,46 +188,71 @@ func BuildContext(ctx context.Context, r *pta.Result, opts Options) (g *Graph, e
 			return
 		}
 		fieldFacts += int64(len(targets))
-		fid := g.fieldID(field)
-		k := key{bn, fid}
+		fid := fieldOf(field)
+		if cap(arena)-len(arena) < len(targets) {
+			arena = make([]int, 0, max(len(targets), 4096))
+		}
+		tgts := arena[len(arena):len(arena)]
 		for _, t := range targets {
-			if tn, ok := g.nodeOf[t]; ok {
-				edges[k] = append(edges[k], tn)
+			if tn := nodeOf(t); tn != 0 {
+				tgts = append(tgts, tn)
 			}
 		}
+		if len(tgts) == 0 {
+			return
+		}
+		arena = arena[:len(arena)+len(tgts)]
+		tgts = tgts[:len(tgts):len(tgts)]
+		// Targets arrive ascending by Obj.ID; nodes are numbered by
+		// allocation site, so re-sort (one key's targets are distinct
+		// objects, hence distinct nodes).
+		if !slices.IsSorted(tgts) {
+			slices.Sort(tgts)
+		}
+		g.Out[bn] = append(g.Out[bn], Edge{Field: fid, Targets: tgts})
 	})
 	if buildErr != nil {
 		return nil, fmt.Errorf("fpg: %w", buildErr)
 	}
 
-	// Null-field completion: every instance field of every object that has
-	// no recorded target may be null.
-	if !opts.OmitNullNode {
-		for id := 1; id < len(g.Objs); id++ {
-			if id&1023 == 1023 {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("fpg: %w", err)
-				}
-			}
-			for _, f := range g.Objs[id].Type.InstanceFields() {
-				k := key{id, g.fieldID(f)}
-				if len(edges[k]) == 0 {
-					edges[k] = []int{NullNode}
-				}
-			}
+	// Null-field completion, per node: every instance field of the
+	// object that has no recorded target may be null. has[f] == id marks
+	// the graph fields node id already has an edge on.
+	var has []int
+	mark := func(fid, id int) bool {
+		for fid >= len(has) {
+			has = append(has, 0)
 		}
-	}
-
-	// Materialize sorted adjacency.
-	byNode := make(map[int][]Edge)
-	for k, tgts := range edges {
-		sort.Ints(tgts)
-		tgts = dedupSorted(tgts)
-		byNode[k.node] = append(byNode[k.node], Edge{Field: k.field, Targets: tgts})
+		seen := has[fid] == id
+		has[fid] = id
+		return seen
 	}
 	for id := 1; id < len(g.Objs); id++ {
-		es := byNode[id]
-		sort.Slice(es, func(i, j int) bool { return es[i].Field < es[j].Field })
+		if id&1023 == 1023 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("fpg: %w", err)
+			}
+		}
+		es := g.Out[id]
+		if !opts.OmitNullNode {
+			for _, e := range es {
+				mark(e.Field, id)
+			}
+			for _, f := range g.Objs[id].Type.InstanceFields() {
+				fid := fieldOf(f)
+				if mark(fid, id) {
+					continue
+				}
+				if len(arena) == cap(arena) {
+					arena = make([]int, 0, 4096)
+				}
+				arena = append(arena, NullNode)
+				es = append(es, Edge{Field: fid, Targets: arena[len(arena)-1 : len(arena) : len(arena)]})
+			}
+		}
+		if !slices.IsSortedFunc(es, cmpEdgeField) {
+			slices.SortFunc(es, cmpEdgeField)
+		}
 		g.Out[id] = es
 	}
 	sp.Add("objects", int64(g.NumObjects()))
@@ -207,6 +261,8 @@ func BuildContext(ctx context.Context, r *pta.Result, opts Options) (g *Graph, e
 	sp.Add("field_facts", fieldFacts)
 	return g, nil
 }
+
+func cmpEdgeField(a, b Edge) int { return a.Field - b.Field }
 
 func dedupSorted(xs []int) []int {
 	out := xs[:0]

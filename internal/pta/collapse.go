@@ -22,7 +22,11 @@ import (
 // the solver counts insertions (solver.newCopyEdges) and runs one
 // iterative SCC pass over the current copy subgraph when the count
 // crosses solver.sccTrigger; the trigger then scales with the graph so
-// the total condensation cost stays O(E · log E). The pass runs only
+// the total condensation cost stays O(E · log E). The trigger is also
+// adaptive: every consecutive pass that collapses nothing doubles the
+// growth the next pass waits for, so a program whose copy graph has no
+// cycles stops paying for passes after a handful, while the first pass
+// that does collapse something resets the back-off. The pass runs only
 // between worklist pops — never inside statement processing — so no
 // interior pointers into solver.nodes are live while nodes are merged.
 //
@@ -32,6 +36,11 @@ import (
 // inherited successor edge and varInfo observes every fact.
 
 const sccMinTrigger = 128
+
+// sccMaxBackoff caps the adaptive back-off: after this many fruitless
+// passes in a row the trigger stops doubling (the next pass waits for
+// the copy subgraph to grow by 2^sccMaxBackoff / 4 of its size).
+const sccMaxBackoff = 8
 
 // collapseCycles runs one condensation pass and resets the trigger.
 func (s *solver) collapseCycles() {
@@ -56,11 +65,14 @@ func (s *solver) collapseCycles() {
 	s.stats.SCCPasses++
 	s.tarjanCopySCCs()
 	// Re-arm: another pass only after the copy subgraph has grown by a
-	// constant fraction, keeping the amortized cost near-linear.
-	s.sccTrigger = s.stats.CopyEdges / 4
-	if s.sccTrigger < sccMinTrigger {
-		s.sccTrigger = sccMinTrigger
+	// constant fraction, keeping the amortized cost near-linear — a
+	// fraction that doubles with each consecutive fruitless pass.
+	if s.stats.CollapsedSCCs == sccsBefore {
+		s.sccIdle = min(s.sccIdle+1, sccMaxBackoff)
+	} else {
+		s.sccIdle = 0
 	}
+	s.sccTrigger = max(sccMinTrigger, s.stats.CopyEdges/4) << s.sccIdle
 	// Per-pass deltas: summed over all collapse spans they equal the
 	// solve span's totals — the accounting the integration test checks.
 	csp.Add("collapsed_sccs", int64(s.stats.CollapsedSCCs-sccsBefore))
@@ -112,10 +124,10 @@ func (s *solver) tarjanCopySCCs() {
 			for f.ei < len(succ) {
 				e := succ[f.ei]
 				f.ei++
-				if e.filter != nil {
+				if e.filter != 0 {
 					continue
 				}
-				w := s.find(e.to)
+				w := s.find(int(e.to))
 				if w == v {
 					continue
 				}
@@ -198,10 +210,19 @@ func (s *solver) collapse(members []int32) {
 		mn := &s.nodes[m]
 		rn := &s.nodes[rep]
 		rn.succ = append(rn.succ, mn.succ...)
-		if mn.info != nil {
-			rn.merged = append(rn.merged, mn.info)
+		if mn.info != nil || mn.merged {
+			if s.merged == nil {
+				s.merged = make(map[int32][]*varInfo)
+			}
+			infos := s.merged[int32(rep)]
+			if mn.info != nil {
+				infos = append(infos, mn.info)
+			}
+			infos = append(infos, s.merged[int32(m)]...)
+			delete(s.merged, int32(m))
+			s.merged[int32(rep)] = infos
+			rn.merged = true
 		}
-		rn.merged = append(rn.merged, mn.merged...)
 		// Release the member's now-dead storage; the node stays as a
 		// forwarding entry (its info pointer keeps serving processStmt).
 		// The freed words are credited back to the resource meter, so
@@ -211,8 +232,8 @@ func (s *solver) collapse(members []int32) {
 		}
 		mn.pts = bitset.Set{}
 		mn.succ = nil
-		mn.edgeSet = nil
-		mn.merged = nil
+		s.dropEdgeTab(mn)
+		mn.merged = false
 	}
 	s.rebuildSucc(rep)
 
@@ -234,42 +255,40 @@ func (s *solver) collapse(members []int32) {
 
 // rebuildSucc canonicalizes rep's successor list after a merge:
 // targets resolved to representatives, duplicates removed, filter-free
-// self-loops dropped.
+// self-loops dropped. The list's duplicate index is rebuilt with it.
 func (s *solver) rebuildSucc(rep int) {
 	n := &s.nodes[rep]
+	s.dropEdgeTab(n)
 	out := n.succ[:0]
-	var set map[edge]struct{}
-	if len(n.succ) > dupEdgeThreshold {
-		set = make(map[edge]struct{}, len(n.succ))
+	seen := make(edgeTab, 32)
+	for len(seen) < 4*len(n.succ) {
+		seen = make(edgeTab, 2*len(seen))
 	}
 	for _, e := range n.succ {
-		e.to = s.find(e.to)
-		if e.to == rep && e.filter == nil {
+		e.to = int32(s.find(int(e.to)))
+		if int(e.to) == rep && e.filter == 0 {
 			continue
 		}
-		if set != nil {
-			if _, dup := set[e]; dup {
-				continue
-			}
-			set[e] = struct{}{}
-		} else {
-			dup := false
-			for _, kept := range out {
-				if kept == e {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
+		slot, dup := seen.lookup(out, e)
+		if dup {
+			continue
 		}
+		seen[slot] = int32(len(out)) + 1
 		out = append(out, e)
 	}
 	// Zero the tail so dropped edges do not pin memory.
-	for i := len(out); i < len(n.succ); i++ {
-		n.succ[i] = edge{}
-	}
+	clear(n.succ[len(out):])
 	n.succ = out
-	n.edgeSet = set
+	if len(out) >= dupEdgeThreshold {
+		s.edgeTabs = append(s.edgeTabs, seen)
+		n.tab = int32(len(s.edgeTabs))
+	}
+}
+
+// dropEdgeTab releases a node's duplicate index.
+func (s *solver) dropEdgeTab(n *node) {
+	if n.tab != 0 {
+		s.edgeTabs[n.tab-1] = nil
+		n.tab = 0
+	}
 }

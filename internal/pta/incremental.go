@@ -205,6 +205,7 @@ func prepareSeed(opts Options, base *Result, d *delta.Diff, st *IncrementalStats
 }
 
 // tainter computes the invalidation closure over a finished base solver.
+// Call edges are named by their index in the base solver's call list.
 type tainter struct {
 	bs *solver
 	d  *delta.Diff
@@ -216,11 +217,11 @@ type tainter struct {
 	dirty    map[*lang.Method]bool // changed bodies + reach-tainted methods
 	methodWL []*lang.Method
 
-	byCaller    map[*lang.Method][]callEdgeKey
-	byInv       map[*lang.Invoke][]callEdgeKey
+	byCaller    map[*lang.Method][]int32
+	byInv       map[*lang.Invoke][]int32
 	inEdges     map[*lang.Method]int
 	taintedIn   map[*lang.Method]int
-	edgeTainted map[callEdgeKey]bool
+	edgeTainted []bool
 }
 
 func newTainter(bs *solver, d *delta.Diff) *tainter {
@@ -229,19 +230,22 @@ func newTainter(bs *solver, d *delta.Diff) *tainter {
 		d:           d,
 		tainted:     make([]bool, len(bs.nodes)),
 		dirty:       make(map[*lang.Method]bool),
-		byCaller:    make(map[*lang.Method][]callEdgeKey),
-		byInv:       make(map[*lang.Invoke][]callEdgeKey),
+		byCaller:    make(map[*lang.Method][]int32),
+		byInv:       make(map[*lang.Invoke][]int32),
 		inEdges:     make(map[*lang.Method]int),
 		taintedIn:   make(map[*lang.Method]int),
-		edgeTainted: make(map[callEdgeKey]bool),
+		edgeTainted: make([]bool, len(bs.calls)),
 	}
-	for k := range bs.callEdges {
-		t.byCaller[k.inv.In] = append(t.byCaller[k.inv.In], k)
-		t.byInv[k.inv] = append(t.byInv[k.inv], k)
-		t.inEdges[k.callee]++
+	for i, c := range bs.calls {
+		t.byCaller[c.inv.In] = append(t.byCaller[c.inv.In], int32(i))
+		t.byInv[c.inv] = append(t.byInv[c.inv], int32(i))
+		t.inEdges[t.callee(int32(i))]++
 	}
 	return t
 }
+
+// callee returns the callee method of base call edge i.
+func (t *tainter) callee(i int32) *lang.Method { return t.bs.csMethods[t.bs.calls[i].callee].m }
 
 // run drives the closure to its fixpoint. The result is a set, so the
 // (map-iteration-dependent) processing order does not affect it.
@@ -280,9 +284,7 @@ func (t *tainter) markNode(id int) {
 }
 
 func (t *tainter) markVar(v *lang.Var) {
-	for _, id := range t.bs.varIndex[v] {
-		t.markNode(id)
-	}
+	t.bs.forEachVarNode(v, t.markNode)
 }
 
 // processDirty invalidates everything a rewritten (or possibly
@@ -303,12 +305,12 @@ func (t *tainter) processDirty(m *lang.Method) {
 func (t *tainter) processNode(rep int) {
 	n := &t.bs.nodes[rep]
 	for _, e := range n.succ {
-		t.markNode(e.to)
+		t.markNode(int(e.to))
 	}
 	if n.info != nil {
 		t.taintInfo(n.info, &n.pts)
 	}
-	for _, in := range n.merged {
+	for _, in := range t.bs.mergedInfos(rep) {
 		t.taintInfo(in, &n.pts)
 	}
 }
@@ -320,14 +322,14 @@ func (t *tainter) taintInfo(info *varInfo, pts *bitset.Set) {
 	for _, stn := range info.stores {
 		field := stn.field
 		pts.ForEach(func(obj int) bool {
-			if fid, ok := t.bs.fieldNodes[fieldKey{obj, field}]; ok {
+			if fid := t.bs.lookupField(obj, field); fid >= 0 {
 				t.markNode(fid)
 			}
 			return true
 		})
 	}
-	for _, inv := range info.invokes {
-		for _, k := range t.byInv[inv] {
+	for _, site := range info.invokes {
+		for _, k := range t.byInv[site.inv] {
 			t.taintEdge(k)
 		}
 	}
@@ -338,26 +340,27 @@ func (t *tainter) taintInfo(info *varInfo, pts *bitset.Set) {
 // exception sink. When a callee's base in-edges are all tainted its
 // reachability is uncertain, so it becomes dirty (unless it is the
 // entry, which is reachable by definition).
-func (t *tainter) taintEdge(k callEdgeKey) {
-	if t.edgeTainted[k] {
+func (t *tainter) taintEdge(i int32) {
+	if t.edgeTainted[i] {
 		return
 	}
-	t.edgeTainted[k] = true
-	t.taintedIn[k.callee]++
-	if k.callee.This != nil {
-		t.markVar(k.callee.This)
+	t.edgeTainted[i] = true
+	inv, callee := t.bs.calls[i].inv, t.callee(i)
+	t.taintedIn[callee]++
+	if callee.This != nil {
+		t.markVar(callee.This)
 	}
-	for _, p := range k.callee.Params {
+	for _, p := range callee.Params {
 		t.markVar(p)
 	}
-	if k.inv.LHS != nil {
-		t.markVar(k.inv.LHS)
+	if inv.LHS != nil {
+		t.markVar(inv.LHS)
 	}
-	if k.inv.In.HasExcVar() {
-		t.markVar(k.inv.In.ExcVar())
+	if inv.In.HasExcVar() {
+		t.markVar(inv.In.ExcVar())
 	}
-	if k.callee != t.bs.prog.Entry && t.taintedIn[k.callee] == t.inEdges[k.callee] {
-		t.markDirty(k.callee)
+	if callee != t.bs.prog.Entry && t.taintedIn[callee] == t.inEdges[callee] {
+		t.markDirty(callee)
 	}
 }
 
@@ -368,6 +371,13 @@ const objUnknown = -2
 // objTranslator rebinds base context-sensitive object IDs (the bit
 // positions of base points-to sets) to the edited program's IDs through
 // the allocation-site map of the diff.
+//
+// Translation and interning are separate steps. An object is interned
+// in the new solver (and so in its heap model) only when a seeded set
+// actually installs it: interning on mere translation would create
+// objects a cold solve never sees — the base object of an empty field
+// node whose allocating method the edit made unreachable, or the
+// elements of a set that turns out to be untranslatable and is skipped.
 type objTranslator struct {
 	s, bs *solver
 	d     *delta.Diff
@@ -382,21 +392,67 @@ func newObjTranslator(s, bs *solver, d *delta.Diff) *objTranslator {
 	return t
 }
 
+// site returns the edited program's allocation site of base object b,
+// or nil when b has no counterpart. Context-insensitive only: under the
+// alloc-site model Obj.Rep is the allocation site itself, and the site
+// map carries it across.
+func (t *objTranslator) site(b int) *lang.AllocSite {
+	o := t.bs.csobjs[b]
+	if o.Ctx != t.bs.emptyHeap {
+		return nil
+	}
+	return t.d.Sites[o.Obj.Rep]
+}
+
+// translatable reports whether base object b has a counterpart, without
+// interning it.
+func (t *objTranslator) translatable(b int) bool {
+	if c := t.cache[b]; c != objUnknown {
+		return c >= 0
+	}
+	if t.site(b) == nil {
+		t.cache[b] = -1
+		return false
+	}
+	return true
+}
+
+// trObj interns base object b's counterpart in the new solver; -1 when
+// it has none.
 func (t *objTranslator) trObj(b int) int {
-	if t.cache[b] != objUnknown {
-		return t.cache[b]
+	if c := t.cache[b]; c != objUnknown {
+		return c
 	}
 	r := -1
-	o := t.bs.csobjs[b]
-	// Context-insensitive only: under the alloc-site model Obj.Rep is
-	// the allocation site itself, and the site map carries it across.
-	if o.Ctx == t.bs.emptyHeap {
-		if nsite := t.d.Sites[o.Obj.Rep]; nsite != nil {
-			r = t.s.csObj(t.s.emptyHeap, t.s.opts.Heap.Obj(nsite))
-		}
+	if nsite := t.site(b); nsite != nil {
+		r = t.s.csObj(t.s.emptyHeap, t.s.opts.Heap.Obj(nsite))
 	}
 	t.cache[b] = r
 	return r
+}
+
+// existing returns base object b's counterpart if the new solver has
+// already interned it, else -1; it never interns.
+func (t *objTranslator) existing(b int) int {
+	if c := t.cache[b]; c != objUnknown {
+		return c
+	}
+	nsite := t.site(b)
+	if nsite == nil {
+		t.cache[b] = -1
+		return -1
+	}
+	// Incremental solves run only on the alloc-site model (see
+	// incrementalEligibility), whose objects are keyed by site.
+	o := t.s.opts.Heap.(*AllocSiteModel).bySite[nsite]
+	if o == nil {
+		return -1
+	}
+	id := t.s.lookupCSObj(t.s.emptyHeap, o)
+	if id >= 0 {
+		t.cache[b] = id
+	}
+	return id
 }
 
 // seeder carries the state of one warm-seeding pass over the new solver.
@@ -519,8 +575,8 @@ func (x *seeder) seedSets() error {
 				if nv == nil {
 					continue
 				}
-				baseID, ok := bs.varNodes[varKey{bs.emptyHeap, bv}]
-				if !ok {
+				baseID := bs.lookupVar(bs.emptyHeap, bv)
+				if baseID < 0 {
 					continue // method not reachable in the base solve
 				}
 				if err := x.seedNode(baseID, &x.st.SeededVars, func() int {
@@ -532,44 +588,41 @@ func (x *seeder) seedSets() error {
 		}
 	}
 
-	// Field nodes: the map is the only index, so sort its keys by
-	// (object ID, field ID) for a deterministic pass.
-	fkeys := make([]fieldKey, 0, len(bs.fieldNodes))
-	for k := range bs.fieldNodes {
-		fkeys = append(fkeys, k)
-	}
-	sort.Slice(fkeys, func(i, j int) bool {
-		if fkeys[i].obj != fkeys[j].obj {
-			return fkeys[i].obj < fkeys[j].obj
-		}
-		return fkeys[i].field.ID < fkeys[j].field.ID
-	})
-	for _, k := range fkeys {
-		nf := d.Fields[k.field]
-		if nf == nil {
-			continue // e.g. an array class the edited program no longer creates
-		}
-		nObj := x.tr.trObj(k.obj)
-		if nObj < 0 {
-			continue
-		}
-		baseID := bs.fieldNodes[k]
-		if err := x.seedNode(baseID, &x.st.SeededFields, func() int {
-			return s.fieldNode(nObj, nf)
-		}); err != nil {
-			return err
+	// Field nodes, by (base object ID, field ID) — the order the
+	// per-object slot lists already keep. A field node is seeded only
+	// when its base object already exists in the new solver (interned by
+	// a seeded var set above): an untainted field node of an object no
+	// untainted variable holds is empty, and seeding it would intern an
+	// object the edited program may never allocate. Leaving it out only
+	// under-seeds.
+	for obj, slots := range bs.objFields {
+		for _, fs := range slots {
+			nf := d.Fields[bs.prog.Fields[fs.field]]
+			if nf == nil {
+				continue // e.g. an array class the edited program no longer creates
+			}
+			baseID := int(fs.node)
+			if x.t.tainted[bs.find(baseID)] {
+				continue
+			}
+			nObj := x.tr.existing(obj)
+			if nObj < 0 {
+				continue
+			}
+			if err := x.seedNode(baseID, &x.st.SeededFields, func() int {
+				return s.fieldNode(nObj, nf)
+			}); err != nil {
+				return err
+			}
 		}
 	}
 
 	// Static field nodes, in program field-declaration order.
 	for _, f := range bs.prog.Fields {
-		if !f.IsStatic {
+		if !f.IsStatic || f.ID >= len(bs.staticNodes) || bs.staticNodes[f.ID] < 0 {
 			continue
 		}
-		baseID, ok := bs.staticNodes[f]
-		if !ok {
-			continue
-		}
+		baseID := int(bs.staticNodes[f.ID])
 		nf := d.Fields[f]
 		if nf == nil {
 			continue
@@ -605,20 +658,19 @@ func (x *seeder) seedNode(baseID int, counter *int, mk func() int) error {
 	}
 	src := &x.bs.nodes[rep].pts
 	ok := true
-	x.buf = x.buf[:0]
 	src.ForEach(func(b int) bool {
-		nb := x.tr.trObj(b)
-		if nb < 0 {
-			ok = false
-			return false
-		}
-		x.buf = append(x.buf, nb)
-		return true
+		ok = x.tr.translatable(b)
+		return ok
 	})
 	if !ok {
 		x.st.SkippedNodes++
 		return nil
 	}
+	x.buf = x.buf[:0]
+	src.ForEach(func(b int) bool {
+		x.buf = append(x.buf, x.tr.trObj(b))
+		return true
+	})
 	nid := mk()
 	x.markFrozen(nid)
 	x.nodeMap[baseID] = nid
@@ -656,7 +708,7 @@ func (x *seeder) isFrozen(id int) bool {
 // set only into unfrozen targets (a frozen target already holds every
 // fact the replay would push).
 func (x *seeder) edge(from, to int, filter *lang.Class) {
-	x.s.addEdgeIf(from, to, filter, !x.isFrozen(to))
+	x.s.addEdgeIf(from, to, classFilter(filter), !x.isFrozen(to))
 }
 
 // copyEdges translates the base solver's entire flow-edge structure —
@@ -678,7 +730,7 @@ func (x *seeder) copyEdges() bool {
 			return false
 		}
 	}
-	classes := make(map[*lang.Class]*lang.Class)
+	filters := make(map[int32]int32)
 	edges, copyEdges := 0, 0
 	// Flush the counters even on a fallback return: partially copied
 	// edges stay (they are valid; the per-statement path deduplicates
@@ -697,16 +749,16 @@ func (x *seeder) copyEdges() bool {
 		n := &s.nodes[nid]
 		for _, e := range succ {
 			filter := e.filter
-			if filter != nil {
-				nc, ok := classes[filter]
+			if filter != 0 {
+				nf, ok := filters[filter]
 				if !ok {
-					nc = x.d.Next.Class(filter.Name)
-					classes[filter] = nc
+					nf = classFilter(x.d.Next.Class(bs.filterClass(filter).Name))
+					filters[filter] = nf
 				}
-				if nc == nil {
+				if nf == 0 {
 					return false // a filter class the edited program lacks
 				}
-				filter = nc
+				filter = nf
 				if s.par != nil {
 					// Bulk-copied edges bypass addEdgeIf, so the parallel
 					// engine's filter registry must learn the class here.
@@ -715,12 +767,13 @@ func (x *seeder) copyEdges() bool {
 			} else {
 				copyEdges++
 			}
-			n.succ = append(n.succ, edge{to: x.nodeMap[e.to], filter: filter})
+			n.succ = append(n.succ, edge{to: int32(x.nodeMap[e.to]), filter: filter})
 			edges++
 		}
-		// No edgeSet is built here even past dupEdgeThreshold: the copied
-		// lists are duplicate-free by construction, and addEdgeIf indexes
-		// a node lazily if a later insert ever needs the dedup.
+		// The copied lists are duplicate-free by construction; any
+		// duplicate index the node had no longer covers them, so drop it
+		// and let addEdgeIf re-index lazily if a later insert needs it.
+		s.dropEdgeTab(n)
 	}
 	return true
 }
@@ -733,11 +786,11 @@ func (x *seeder) copyEdges() bool {
 func (x *seeder) installMethods() error {
 	s := x.s
 	empty := s.ctxt.Empty()
-	for _, bk := range x.bs.reachList {
+	for _, bcm := range x.bs.reachList {
 		if err := x.interrupted(); err != nil {
 			return err
 		}
-		bm := bk.m
+		bm := x.bs.csMethods[bcm].m
 		if x.d.MethodChanged(bm) || x.t.dirty[bm] {
 			continue
 		}
@@ -745,16 +798,11 @@ func (x *seeder) installMethods() error {
 		if nm == nil || len(bm.Stmts) != len(nm.Stmts) {
 			continue
 		}
-		nk := csMethodKey{empty, nm}
-		if s.reachable[nk] {
-			// A needsDispatch replay below already reached it cold; its
-			// constraints are fully installed.
+		// A needsDispatch replay below may already have reached it cold;
+		// its constraints are then fully installed.
+		if !s.markReachable(empty, nm, s.csMethodOf(empty, nm)) {
 			continue
 		}
-		s.reachable[nk] = true
-		s.reachList = append(s.reachList, nk)
-		s.ciMethods[nm] = true
-		s.chargeWork(1)
 		x.st.InstalledMethods++
 		for i, st := range nm.Stmts {
 			x.installStmt(empty, nm, bm.Stmts[i], st)
@@ -799,11 +847,7 @@ func (x *seeder) installStmt(ctx *Context, m *lang.Method, bst, st lang.Stmt) {
 		if !x.bulk {
 			x.edge(rhs, s.varNode(ctx, stmt.LHS), stmt.Type)
 		}
-		ck := castInstKey{ctx, stmt}
-		if !s.castSeen[ck] {
-			s.castSeen[ck] = true
-			s.casts = append(s.casts, castSite{stmt: stmt, rhsNode: rhs})
-		}
+		s.casts = append(s.casts, castSite{stmt: stmt, rhsNode: rhs})
 
 	case *lang.Load:
 		base := s.varNode(ctx, stmt.Base)
@@ -848,11 +892,13 @@ func (x *seeder) installStmt(ctx *Context, m *lang.Method, bst, st lang.Stmt) {
 			return // the retained call edge is translated in translateCalls
 		}
 		base := s.varNode(ctx, stmt.Base)
-		s.nodes[base].info.invokes = append(s.nodes[base].info.invokes, stmt)
+		info := s.nodes[base].info
+		info.invokes = append(info.invokes, invokeSite{inv: stmt, cm: -1})
 		if binv, ok := bst.(*lang.Invoke); ok && x.isFrozen(base) && !x.needsDispatch(binv) {
 			return // call edges are translated in translateCalls
 		}
-		s.replayBase(base, func(obj int) { s.applyInvoke(ctx, obj, stmt) })
+		k := len(info.invokes) - 1
+		s.replayBase(base, func(obj int) { s.applyInvoke(info, k, obj) })
 
 	case *lang.Return:
 		if x.bulk {
@@ -903,11 +949,12 @@ func (x *seeder) replayFrozen(base int, fn func(obj int)) {
 // back to the ordinary replay — translateCalls then deduplicates the
 // edges it re-adds.
 func (x *seeder) needsDispatch(binv *lang.Invoke) bool {
-	for _, k := range x.t.byInv[binv] {
-		if k.callee.This == nil {
+	for _, i := range x.t.byInv[binv] {
+		callee := x.t.callee(i)
+		if callee.This == nil {
 			continue
 		}
-		nThis := x.d.Vars[k.callee.This]
+		nThis := x.d.Vars[callee.This]
 		if nThis == nil {
 			return true
 		}
@@ -927,11 +974,11 @@ func (x *seeder) needsDispatch(binv *lang.Invoke) bool {
 // processed cold by the makeReachable inside translateEdge.
 func (x *seeder) translateCalls() error {
 	empty := x.s.ctxt.Empty()
-	for _, bk := range x.bs.reachList {
+	for _, bcm := range x.bs.reachList {
 		if err := x.interrupted(); err != nil {
 			return err
 		}
-		bm := bk.m
+		bm := x.bs.csMethods[bcm].m
 		if x.d.MethodChanged(bm) || x.t.dirty[bm] {
 			continue
 		}
@@ -949,17 +996,18 @@ func (x *seeder) translateCalls() error {
 				continue
 			}
 			if len(edges) > 1 {
-				// byInv holds map-ordered slices; canonicalize so repeated
-				// runs install edges (and create nodes) in one order.
+				// Canonicalize so repeated runs install edges (and create
+				// nodes) in one order whatever order the base discovered
+				// them in.
 				sort.Slice(edges, func(i, j int) bool {
-					return edges[i].callee.String() < edges[j].callee.String()
+					return x.t.callee(edges[i]).String() < x.t.callee(edges[j]).String()
 				})
 			}
-			for _, k := range edges {
-				if x.t.edgeTainted[k] {
+			for _, i := range edges {
+				if x.t.edgeTainted[i] {
 					continue // re-derived by propagation through the tainted region
 				}
-				ncallee := x.d.Methods[k.callee]
+				ncallee := x.d.Methods[x.t.callee(i)]
 				if ncallee == nil || ncallee.IsAbstract {
 					continue
 				}
@@ -972,26 +1020,18 @@ func (x *seeder) translateCalls() error {
 
 func (x *seeder) translateEdge(empty *Context, inv *lang.Invoke, callee *lang.Method) {
 	s := x.s
-	s.makeReachable(empty, callee)
-	k := callEdgeKey{empty, inv, empty, callee}
-	if s.callEdges[k] {
+	cm := s.makeReachable(empty, callee)
+	if !s.recordCall(empty, inv, cm) {
 		return
 	}
-	s.callEdges[k] = true
-	tgts := s.ciEdges[inv]
-	if tgts == nil {
-		tgts = make(map[*lang.Method]bool)
-		s.ciEdges[inv] = tgts
-	}
-	tgts[callee] = true
 	if !x.bulk { // bulk copy already carried the parameter/return/exception edges
 		for i, a := range inv.Args {
-			x.edge(s.varNode(empty, a), s.varNode(empty, callee.Params[i]), nil)
+			x.edge(s.varNode(empty, a), s.varSlot(cm, callee.Params[i]), nil)
 		}
 		if inv.LHS != nil && callee.RetVar != nil {
-			x.edge(s.varNode(empty, callee.RetVar), s.varNode(empty, inv.LHS), nil)
+			x.edge(s.varSlot(cm, callee.RetVar), s.varNode(empty, inv.LHS), nil)
 		}
-		x.edge(s.varNode(empty, callee.ExcVar()), s.varNode(empty, inv.In.ExcVar()), nil)
+		x.edge(s.varSlot(cm, callee.ExcVar()), s.varNode(empty, inv.In.ExcVar()), nil)
 	}
 	x.st.TranslatedCallEdges++
 }

@@ -331,3 +331,87 @@ func containsStr(s, sub string) bool {
 	}
 	return false
 }
+
+// TestIncrementalDroppedAllocatorLeavesNoObject edits away the only call
+// to a method that allocates an object and loads a never-stored field
+// from it. The load leaves an empty field node on that object, which
+// the taint closure has no reason to invalidate; the warm solve must
+// still not intern the object (the callee is unreachable after the
+// edit), so its heap model holds exactly the objects a cold solve does.
+func TestIncrementalDroppedAllocatorLeavesNoObject(t *testing.T) {
+	p := lang.NewProgram()
+	a := p.NewClass("A", nil)
+	f := a.NewField("f", a)
+	util := p.NewClass("Util", nil)
+	mk := util.NewMethod("make", true, nil, a)
+	{
+		o := mk.NewVar("o", a)
+		x := mk.NewVar("x", a)
+		mk.AddAlloc(o, a)
+		mk.AddLoad(x, o, f)
+		mk.AddReturn(o)
+	}
+	mainCls := p.NewClass("Main", nil)
+	main := mainCls.NewMethod("main", true, nil, nil)
+	got := main.NewVar("got", a)
+	own := main.NewVar("own", a)
+	main.AddStaticCall(got, mk)
+	main.AddAlloc(own, a)
+	main.AddReturn(nil)
+	p.SetEntry(main)
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	base, err := Solve(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Objs()) != 2 {
+		t.Fatalf("base solve has %d objects, want 2", len(base.Objs()))
+	}
+
+	next, err := delta.Rewrite(p, func(m *lang.Method, stmts []lang.Stmt) []lang.Stmt {
+		if m.Name != "main" {
+			return stmts
+		}
+		var out []lang.Stmt
+		for _, st := range stmts {
+			if _, call := st.(*lang.Invoke); !call {
+				out = append(out, st)
+			}
+		}
+		return out
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := delta.Compute(p, next, delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.BodyOnly || d.Additive {
+		t.Fatalf("dropping a call: BodyOnly=%v Additive=%v, want a non-additive body-only edit", d.BodyOnly, d.Additive)
+	}
+	warm, st, err := SolveIncremental(next, Options{}, base, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Used {
+		t.Fatalf("fell back: %s", st.Fallback)
+	}
+	cold, err := Solve(next, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnalysis(t, "dropped allocator call", next, warm, cold)
+	labels := func(r *Result) []string {
+		var out []string
+		for _, o := range r.Objs() {
+			out = append(out, o.Rep.Label)
+		}
+		return out
+	}
+	if w, c := labels(warm), labels(cold); !equalStrings(w, c) || warm.NumCSObjs() != cold.NumCSObjs() {
+		t.Fatalf("objects differ:\n warm: %v (%d cs-objects)\n cold: %v (%d cs-objects)", w, warm.NumCSObjs(), c, cold.NumCSObjs())
+	}
+}

@@ -8,7 +8,6 @@ import (
 
 	"mahjong/internal/bitset"
 	"mahjong/internal/faultinject"
-	"mahjong/internal/lang"
 	"mahjong/internal/trace"
 )
 
@@ -52,15 +51,21 @@ type parEngine struct {
 
 	shards []*shardState
 
-	// Distinct filter classes ever attached to an edge; prep extends
-	// each one's mask so workers only ever read masks.
-	filterSeen map[*lang.Class]bool
-	filterList []*lang.Class
+	// Distinct edge filters (Class.ID+1) ever attached to an edge; prep
+	// extends each one's mask so workers only ever read masks.
+	filterSeen map[int32]bool
+	filterList []int32
 
 	sent, recv atomic.Int64
 	parWork    atomic.Int64
 	stopped    atomic.Bool
-	baseWork   int64 // s.work at phase start, for budget checks
+	// done is closed by the first stop of a phase; idleSig carries
+	// coalesced "a worker went idle" wake-ups to the detector. Waiting on
+	// them instead of sleeping keeps a phase's wake-up latency at
+	// scheduling cost rather than the timer's millisecond granularity.
+	done     chan struct{}
+	idleSig  chan struct{}
+	baseWork int64 // s.work at phase start, for budget checks
 
 	failMu   sync.Mutex
 	failVal  any
@@ -94,7 +99,8 @@ func newParEngine(s *solver, workers, threshold int) *parEngine {
 		threshold:  threshold,
 		load:       make([]int, workers),
 		shards:     make([]*shardState, workers),
-		filterSeen: make(map[*lang.Class]bool),
+		filterSeen: make(map[int32]bool),
+		idleSig:    make(chan struct{}, 1),
 	}
 	for i := range e.shards {
 		e.shards[i] = &shardState{
@@ -103,6 +109,7 @@ func newParEngine(s *solver, workers, threshold int) *parEngine {
 			in:         make([]*spsc, workers),
 			remoteTgts: make([][]int32, workers),
 			fired:      make(map[int32]*bitset.Set),
+			wake:       make(chan struct{}, 1),
 		}
 	}
 	for i, w := range e.shards {
@@ -116,13 +123,13 @@ func newParEngine(s *solver, workers, threshold int) *parEngine {
 	return e
 }
 
-// trackFilter records a filter class the first time an edge carries it.
-func (e *parEngine) trackFilter(cls *lang.Class) {
-	if e.filterSeen[cls] {
+// trackFilter records an edge filter the first time an edge carries it.
+func (e *parEngine) trackFilter(filter int32) {
+	if e.filterSeen[filter] {
 		return
 	}
-	e.filterSeen[cls] = true
-	e.filterList = append(e.filterList, cls)
+	e.filterSeen[filter] = true
+	e.filterList = append(e.filterList, filter)
 }
 
 // runPhase executes one parallel propagation phase. Called from the
@@ -138,6 +145,7 @@ func (e *parEngine) runPhase() {
 	e.sent.Store(0)
 	e.recv.Store(0)
 	e.stopped.Store(false)
+	e.done = make(chan struct{})
 	e.failVal = nil
 	e.meterErr = nil
 	for _, w := range e.shards {
@@ -173,7 +181,7 @@ func (e *parEngine) runPhase() {
 }
 
 // prep freezes the graph for a phase: flattens the union-find, extends
-// every filter mask over newly interned objects, assigns shards to new
+// every filter mask workers may read over newly interned objects, assigns shards to new
 // nodes, recomputes which nodes carry statement sites, and deals the
 // sequential worklist out to the owners' rings.
 func (e *parEngine) prep() {
@@ -187,8 +195,13 @@ func (e *parEngine) prep() {
 	for i := 0; i < n; i++ {
 		e.flat[i] = int32(s.find(i))
 	}
-	for _, cls := range e.filterList {
-		s.mask(cls)
+	for _, filter := range e.filterList {
+		if s.ren != nil && s.tailObjs == 0 {
+			if _, ok := s.ren.span(s.filterClass(filter)); ok {
+				continue // workers filter by ID range (shardState.filtered); no mask read
+			}
+		}
+		s.mask(filter)
 	}
 	e.partition(n)
 	if cap(e.siteful) < n {
@@ -197,7 +210,7 @@ func (e *parEngine) prep() {
 		e.siteful = e.siteful[:n]
 	}
 	for i := 0; i < n; i++ {
-		e.siteful[i] = nodeHasSites(&s.nodes[i])
+		e.siteful[i] = nodeHasSites(s, i)
 	}
 	for {
 		id, ok := s.worklist.pop()
@@ -226,11 +239,11 @@ func (e *parEngine) prep() {
 	}
 }
 
-func nodeHasSites(n *node) bool {
-	if vi := n.info; vi != nil && len(vi.loads)+len(vi.stores)+len(vi.invokes) > 0 {
+func nodeHasSites(s *solver, id int) bool {
+	if vi := s.nodes[id].info; vi != nil && len(vi.loads)+len(vi.stores)+len(vi.invokes) > 0 {
 		return true
 	}
-	for _, vi := range n.merged {
+	for _, vi := range s.mergedInfos(id) {
 		if len(vi.loads)+len(vi.stores)+len(vi.invokes) > 0 {
 			return true
 		}
@@ -285,13 +298,47 @@ func (e *parEngine) detect() int {
 		if s1 == r1 && e.allIdle() {
 			s2, r2 := e.sent.Load(), e.recv.Load()
 			if s1 == s2 && r1 == r2 && e.allIdle() {
-				e.stopped.Store(true)
+				e.stop()
 				break
 			}
 		}
-		runtime.Gosched()
+		// Spin briefly, then wait for the next worker to go idle: the
+		// detector shares the processors with the workers it waits for,
+		// and on a loaded machine every spin is time a worker does not
+		// get. Quiescence is always entered by some worker going idle,
+		// which signals idleSig after publishing its flag, so a waiting
+		// detector cannot miss it.
+		if epochs < detectSpins {
+			runtime.Gosched()
+		} else {
+			select {
+			case <-e.idleSig:
+			case <-e.done:
+			}
+		}
 	}
 	return epochs
+}
+
+// detectSpins is how many epochs the termination detector yields
+// between scans before it starts waiting for idle signals.
+const detectSpins = 64
+
+// stop ends the current phase: it raises stopped and wakes every worker
+// and the detector. Only the first call of a phase closes done.
+func (e *parEngine) stop() {
+	if !e.stopped.Swap(true) {
+		close(e.done)
+	}
+}
+
+// signalIdle tells the detector a worker just went idle; signals
+// coalesce, since one wake-up makes the detector rescan everything.
+func (e *parEngine) signalIdle() {
+	select {
+	case e.idleSig <- struct{}{}:
+	default:
+	}
 }
 
 func (e *parEngine) allIdle() bool {
@@ -311,7 +358,7 @@ func (e *parEngine) recordFailure(r any) {
 		e.failVal = r
 	}
 	e.failMu.Unlock()
-	e.stopped.Store(true)
+	e.stop()
 }
 
 func (e *parEngine) recordMeterErr(err error) {
@@ -409,7 +456,7 @@ func (e *parEngine) fireSites() {
 		if info := s.nodes[id].info; info != nil {
 			s.processVarDelta(info, set)
 		}
-		for _, vi := range s.nodes[id].merged {
+		for _, vi := range s.mergedInfos(id) {
 			s.processVarDelta(vi, set)
 		}
 		s.releaseSet(set)

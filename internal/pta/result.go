@@ -1,6 +1,7 @@
 package pta
 
 import (
+	"slices"
 	"sort"
 
 	"mahjong/internal/bitset"
@@ -27,22 +28,25 @@ func (r *Result) NumCSObjs() int { return r.solver.numCSObjs }
 func (r *Result) NumNodes() int { return len(r.solver.nodes) }
 
 // NumReachableMethods returns context-insensitively distinct reachable methods.
-func (r *Result) NumReachableMethods() int { return len(r.solver.ciMethods) }
+func (r *Result) NumReachableMethods() int { return r.solver.ciReach.Len() }
 
 // NumCSMethods returns (context, method) pairs analyzed.
 func (r *Result) NumCSMethods() int { return len(r.solver.reachList) }
 
 // ReachableMethod reports whether m is reachable under any context.
-func (r *Result) ReachableMethod(m *lang.Method) bool { return r.solver.ciMethods[m] }
+func (r *Result) ReachableMethod(m *lang.Method) bool {
+	ms := r.Prog.Methods
+	return m.ID < len(ms) && ms[m.ID] == m && r.solver.ciReach.Contains(m.ID)
+}
 
 // VarPointsTo returns the context-insensitive projection of v's
 // points-to set: the union over all analyzed contexts, as a set of
 // CSObj IDs.
 func (r *Result) VarPointsTo(v *lang.Var) *bitset.Set {
 	out := bitset.New(0)
-	for _, id := range r.solver.varIndex[v] {
+	r.solver.forEachVarNode(v, func(id int) {
 		out.Union(r.solver.ptsAt(id))
-	}
+	})
 	return out
 }
 
@@ -71,10 +75,16 @@ func (r *Result) VarObjs(v *lang.Var) []*Obj {
 // when a variable points to the same object under several contexts; fn
 // must be idempotent.
 func (r *Result) ForEachVarObj(fn func(v *lang.Var, o *Obj)) {
-	for v, ids := range r.solver.varIndex {
-		for _, id := range ids {
-			r.solver.ptsAt(id).ForEach(func(i int) bool {
-				fn(v, r.solver.csobjs[i].Obj)
+	s := r.solver
+	for _, c := range s.csMethods {
+		slots := s.varSlots[c.base : c.base+c.n]
+		for i, id := range slots {
+			if id < 0 {
+				continue
+			}
+			v := c.m.Locals[i]
+			s.ptsAt(int(id)).ForEach(func(o int) bool {
+				fn(v, s.csobjs[o].Obj)
 				return true
 			})
 		}
@@ -98,44 +108,79 @@ func (r *Result) VarTypes(v *lang.Var) []*lang.Class {
 // FieldPointsTo returns the context-insensitive points-to relation for
 // object fields: for each (abstract object, field) pair that has a
 // points-to set, fn is called with the union over heap contexts as
-// abstract objects. It drives the FPG builder.
+// abstract objects. Keys arrive in ascending (Obj.ID, Field.ID) order;
+// targets are deduplicated and ascending by Obj.ID. fn owns targets.
+// It drives the FPG builder.
+//
+// The relation is a projection of the solver's field nodes: each
+// object's field slots are already sorted by field ID, and every
+// (object, field) set is unioned into one reusable bitset over Obj.ID,
+// whose ascending iteration is the sorted, deduplicated target list.
 func (r *Result) FieldPointsTo(fn func(base *Obj, field *lang.Field, targets []*Obj)) {
-	type objField struct {
-		obj   *Obj
-		field *lang.Field
+	s := r.solver
+	// Group the CSObjs of each abstract object (counting sort by Obj.ID).
+	nObj := 0
+	for _, id := range s.internLog {
+		nObj = max(nObj, s.csobjs[id].Obj.ID+1)
 	}
-	merged := make(map[objField]map[*Obj]bool)
-	for k, nodeID := range r.solver.fieldNodes {
-		base := r.solver.csobjs[k.obj].Obj
-		key := objField{base, k.field}
-		tgts := merged[key]
-		if tgts == nil {
-			tgts = make(map[*Obj]bool)
-			merged[key] = tgts
-		}
-		r.solver.ptsAt(nodeID).ForEach(func(i int) bool {
-			tgts[r.solver.csobjs[i].Obj] = true
-			return true
-		})
+	objs := make([]*Obj, nObj)
+	start := make([]int32, nObj+1)
+	for _, id := range s.internLog {
+		o := s.csobjs[id].Obj
+		objs[o.ID] = o
+		start[o.ID+1]++
 	}
-	keys := make([]objField, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
+	for i := 1; i <= nObj; i++ {
+		start[i] += start[i-1]
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].obj.ID != keys[j].obj.ID {
-			return keys[i].obj.ID < keys[j].obj.ID
+	byObj := make([]int32, len(s.internLog))
+	fill := slices.Clone(start[:nObj])
+	for _, id := range s.internLog {
+		o := s.csobjs[id].Obj.ID
+		byObj[fill[o]] = id
+		fill[o]++
+	}
+
+	var (
+		acc    bitset.Set
+		merged []fieldSlot
+		arena  []*Obj
+	)
+	for oid, o := range objs {
+		css := byObj[start[oid]:start[oid+1]]
+		if len(css) == 0 {
+			continue
 		}
-		return keys[i].field.ID < keys[j].field.ID
-	})
-	for _, k := range keys {
-		set := merged[k]
-		out := make([]*Obj, 0, len(set))
-		for o := range set {
-			out = append(out, o)
+		slots := s.objFields[css[0]]
+		if len(css) > 1 {
+			merged = merged[:0]
+			for _, cs := range css {
+				merged = append(merged, s.objFields[cs]...)
+			}
+			slices.SortFunc(merged, func(a, b fieldSlot) int { return int(a.field) - int(b.field) })
+			slots = merged
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-		fn(k.obj, k.field, out)
+		for i := 0; i < len(slots); {
+			fid := slots[i].field
+			acc.Clear()
+			for ; i < len(slots) && slots[i].field == fid; i++ {
+				s.ptsAt(int(slots[i].node)).ForEach(func(t int) bool {
+					acc.Add(s.csobjs[t].Obj.ID)
+					return true
+				})
+			}
+			n := acc.Len()
+			if cap(arena)-len(arena) < n {
+				arena = make([]*Obj, 0, max(n, 4096))
+			}
+			out := arena[len(arena) : len(arena) : len(arena)+n]
+			acc.ForEach(func(t int) bool {
+				out = append(out, objs[t])
+				return true
+			})
+			arena = arena[:len(arena)+n]
+			fn(o, s.prog.Fields[fid], out)
+		}
 	}
 }
 
@@ -148,38 +193,29 @@ type CallEdge struct {
 // CallGraphEdges returns the context-insensitive call graph as a sorted
 // edge list (by call-site ID, then callee ID).
 func (r *Result) CallGraphEdges() []CallEdge {
-	var out []CallEdge
-	for inv, tgts := range r.solver.ciEdges {
-		for m := range tgts {
-			out = append(out, CallEdge{Site: inv, Callee: m})
+	out := make([]CallEdge, 0, r.solver.ciEdges)
+	for _, site := range r.solver.ciSites {
+		first := len(out)
+		for _, m := range site.callees {
+			out = append(out, CallEdge{Site: site.inv, Callee: m})
 		}
+		tail := out[first:]
+		sort.Slice(tail, func(i, j int) bool { return tail[i].Callee.ID < tail[j].Callee.ID })
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Site.ID != out[j].Site.ID {
-			return out[i].Site.ID < out[j].Site.ID
-		}
-		return out[i].Callee.ID < out[j].Callee.ID
-	})
 	return out
 }
 
 // NumCallGraphEdges counts context-insensitive call-graph edges.
-func (r *Result) NumCallGraphEdges() int {
-	n := 0
-	for _, tgts := range r.solver.ciEdges {
-		n += len(tgts)
-	}
-	return n
-}
+func (r *Result) NumCallGraphEdges() int { return r.solver.ciEdges }
 
 // CallTargets returns the distinct dispatch targets discovered for a
 // call site, sorted by method ID.
 func (r *Result) CallTargets(inv *lang.Invoke) []*lang.Method {
-	tgts := r.solver.ciEdges[inv]
-	out := make([]*lang.Method, 0, len(tgts))
-	for m := range tgts {
-		out = append(out, m)
+	sites := r.solver.ciSites
+	if inv.ID >= len(sites) || sites[inv.ID].inv != inv {
+		return []*lang.Method{}
 	}
+	out := slices.Clone(sites[inv.ID].callees)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
@@ -227,11 +263,10 @@ func (r *Result) ReachableCasts() []ReachableCast {
 // they are never poly-calls.
 func (r *Result) ReachableInvokes() []*lang.Invoke {
 	var out []*lang.Invoke
-	for inv := range r.solver.ciEdges {
-		if inv.Kind == lang.VirtualCall {
-			out = append(out, inv)
+	for _, site := range r.solver.ciSites {
+		if site.inv != nil && site.inv.Kind == lang.VirtualCall {
+			out = append(out, site.inv)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

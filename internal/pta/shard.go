@@ -8,7 +8,6 @@ import (
 	"mahjong/internal/bitset"
 	"mahjong/internal/failure"
 	"mahjong/internal/faultinject"
-	"mahjong/internal/lang"
 	"mahjong/internal/trace"
 )
 
@@ -123,6 +122,10 @@ type shardState struct {
 	idle atomic.Int32
 	_    [7]int64 // idle is scanned by the detector; pad it away from the hot fields below
 
+	// wake carries a coalesced "messages arrived" signal to this worker
+	// while it waits idle.
+	wake chan struct{}
+
 	// worker-local counters, folded into solver stats at phase end
 	work           int64
 	propagatedBits int64
@@ -212,13 +215,19 @@ func (w *shardState) run(phaseSpan trace.Span) {
 		// termination detector, then back off. Ordering matters — a
 		// message that lands after our queue scan but before the Store is
 		// still in flight (sent > recv), so the detector cannot
-		// terminate on our stale idle flag.
+		// terminate on our stale idle flag. After a few yields the worker
+		// waits for a sender's wake-up or the end of the phase; a message
+		// pushed after the scan always leaves a wake-up behind.
 		w.idle.Store(1)
+		w.eng.signalIdle()
 		idleSpins++
 		if idleSpins < 8 {
 			runtime.Gosched()
 		} else {
-			time.Sleep(20 * time.Microsecond)
+			select {
+			case <-w.wake:
+			case <-w.eng.done:
+			}
 		}
 	}
 	wsp.Add("propagated_bits", w.propagatedBits)
@@ -260,7 +269,7 @@ func (w *shardState) process(id int) {
 	for _, ed := range succ {
 		t := int(e.flat[ed.to])
 		dest := int(e.shardOf[t])
-		if ed.filter == nil {
+		if ed.filter == 0 {
 			if dest == w.id {
 				w.localAddPts(t, delta)
 			} else {
@@ -336,16 +345,21 @@ func (w *shardState) localAddPts(t int, set *bitset.Set) {
 func (w *shardState) send(dest int, m shardMsg) {
 	w.eng.sent.Add(1)
 	w.sent++
-	w.eng.shards[dest].in[w.id].push(m)
+	d := w.eng.shards[dest]
+	d.in[w.id].push(m)
+	select {
+	case d.wake <- struct{}{}:
+	default:
+	}
 }
 
 // filtered is the worker-side filter: identical semantics to
 // solver.filtered, but reading the coordinator-prepared masks without
 // extending them and using worker-private scratch.
-func (w *shardState) filtered(delta *bitset.Set, filter *lang.Class) *bitset.Set {
+func (w *shardState) filtered(delta *bitset.Set, filter int32) *bitset.Set {
 	s := w.eng.s
 	if s.ren != nil && s.tailObjs == 0 {
-		if sp, ok := s.ren.span(filter); ok {
+		if sp, ok := s.ren.span(s.filterClass(filter)); ok {
 			w.rangeHits++
 			if delta.OnesInRange(sp.lo, sp.hi) == delta.Len() {
 				return delta //lint:allow bitsetalias documented borrow passthrough: the delta lies entirely inside the filter's ID range, so the filtered set IS the input
@@ -354,7 +368,7 @@ func (w *shardState) filtered(delta *bitset.Set, filter *lang.Class) *bitset.Set
 		}
 	}
 	w.maskHits++
-	m := s.masks[filter]
+	m := s.masks[filter-1]
 	return bitset.IntersectInto(&w.scratch, delta, &m.set)
 }
 

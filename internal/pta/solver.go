@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mahjong/internal/bitset"
@@ -113,26 +114,24 @@ const (
 	nStaticField
 )
 
+// edge is one flow edge out of a node: to is the target node id, filter
+// the cast/catch filter as Class.ID+1, or 0 for a filter-free copy edge.
 type edge struct {
-	to     int
-	filter *lang.Class // non-nil for cast edges: only subtypes flow
+	to     int32
+	filter int32
 }
 
 // dupEdgeThreshold is the successor count past which a node switches
-// from linear duplicate scanning to a hash-set index in addEdge.
+// from linear duplicate scanning to a per-list hash index (edgeTab) in
+// addEdge.
 const dupEdgeThreshold = 8
 
 // node is one pointer in the pointer-flow graph. Nodes are stored by
 // value in solver.nodes to avoid a pointer dereference per propagation
 // step; take fresh references after any call that may append a node.
 type node struct {
-	kind nodeKind
 	pts  bitset.Set
 	succ []edge
-
-	// edgeSet indexes succ for O(1) duplicate detection once the list
-	// outgrows dupEdgeThreshold; nil below it.
-	edgeSet map[edge]struct{}
 
 	// info is the var-node payload (nil for field nodes). It stays on
 	// the node that created it even after the node is collapsed into a
@@ -140,9 +139,15 @@ type node struct {
 	// sites through the original id.
 	info *varInfo
 
-	// merged holds the varInfos of nodes collapsed into this
-	// representative: a delta arriving here must fire their sites too.
-	merged []*varInfo
+	// tab, once succ has outgrown dupEdgeThreshold, is 1 + the index of
+	// the list's duplicate index in solver.edgeTabs (0: none, scan).
+	tab int32
+
+	kind nodeKind
+	// merged marks a cycle representative whose collapsed members'
+	// varInfos live in solver.merged: a delta arriving here must fire
+	// their sites too.
+	merged bool
 }
 
 // loadSite / storeSite are load/store statements with their non-base
@@ -166,29 +171,54 @@ type varInfo struct {
 	v       *lang.Var
 	loads   []loadSite
 	stores  []storeSite
-	invokes []*lang.Invoke
+	invokes []invokeSite
 }
 
-type varKey struct {
-	ctx *Context
-	v   *lang.Var
-}
-
-type fieldKey struct {
-	obj   int // CSObj ID
-	field *lang.Field
-}
-
-type csMethodKey struct {
-	ctx *Context
-	m   *lang.Method
-}
-
-type callEdgeKey struct {
-	callerCtx *Context
+// invokeSite is a virtual or special call dispatched on the variable,
+// with a one-entry memo of its last dispatch: the receiver class and
+// its target, and the callee context and csMethod of the call edge that
+// dispatch wired. Receivers reaching one site mostly share a class (and,
+// under a receiver-independent selector, a callee context), so most
+// receivers after the first only need their This binding.
+type invokeSite struct {
 	inv       *lang.Invoke
+	cls       *lang.Class  // receiver class of the memoised dispatch (virtual calls)
+	callee    *lang.Method // cls's dispatch target; nil when it has none
 	calleeCtx *Context
-	callee    *lang.Method
+	cm        int32 // csMethod of the wired edge to (calleeCtx, callee); -1 none
+}
+
+// csMethod is one (context, method) pair the solve has touched. Its var
+// nodes live in a block of solver.varSlots indexed by Var.Index; next
+// chains the pairs of one method (solver.methHead), which is how all
+// context variants of a variable are found.
+type csMethod struct {
+	ctx  *Context
+	m    *lang.Method
+	base int32 // first slot of the block in solver.varSlots
+	n    int32 // block length
+	next int32 // next csMethod of the same method, -1 at the end
+}
+
+// fieldSlot is one instance-field node of a CSObj; an object's slots
+// are kept sorted by field ID.
+type fieldSlot struct {
+	field int32 // Field.ID
+	node  int32
+}
+
+// callRec is one context-sensitive call edge: (callerCtx, inv) to the
+// callee csMethod.
+type callRec struct {
+	inv       *lang.Invoke
+	callerCtx *Context
+	callee    int32 // csMethod index
+}
+
+// ciSite is the context-insensitive call graph at one call site.
+type ciSite struct {
+	inv     *lang.Invoke // nil until the site has a callee
+	callees []*lang.Method
 }
 
 // castSite records one reachable cast occurrence (per context) for the
@@ -212,6 +242,11 @@ type classMask struct {
 }
 
 // Solver runs the analysis. Create one per run via Solve.
+//
+// Its hot-path state is keyed by dense integer IDs rather than Go maps:
+// contexts, methods, variables (Var.Index), fields, classes, call sites
+// and objects all carry one, so lookups are slice indexing or a probe
+// of an idTable.
 type solver struct {
 	prog *lang.Program
 	opts Options
@@ -219,17 +254,24 @@ type solver struct {
 
 	nodes []node
 
-	varNodes    map[varKey]int
-	fieldNodes  map[fieldKey]int
-	staticNodes map[*lang.Field]int
-	varIndex    map[*lang.Var][]int // all context variants of a variable
+	// Var nodes: one block of varSlots per (context, method), indexed
+	// by Var.Index (-1 = node not created yet).
+	csMethods []csMethod
+	ciCSM     []int32 // Method.ID -> csMethod under the empty context, -1 none
+	csmIdx    idTable // (context ID, Method.ID) -> csMethod, non-empty contexts
+	methHead  []int32 // Method.ID -> newest csMethod of the method, -1 none
+	varSlots  []int32
+
+	objFields   [][]fieldSlot // CSObj ID -> its field nodes, sorted by field ID
+	staticNodes []int32       // Field.ID -> static field node, -1 none
 
 	// csobjs maps CSObj ID -> object. Without renumbering it is dense
 	// (IDs are interning order); with renumbering it may carry nil
 	// holes for reserved-but-never-interned slots, so iterate via
 	// internLog or points-to bits, never by scanning the slice.
-	csobjs    []*CSObj
-	objCtxIdx map[ctxObjKey]int
+	csobjs []*CSObj
+	ciObjs []int32 // Obj.ID -> CSObj under the empty heap context, -1 none
+	objIdx idTable // (heap context ID, Obj.ID) -> CSObj, non-empty contexts
 	// internLog records CSObj IDs in interning order — the solver's
 	// own discovery order, which renumbering divorces from ID order.
 	// Mask extension and equivalence tests iterate it.
@@ -240,13 +282,17 @@ type solver struct {
 	ren *renumbering // nil unless Options.Renumber is in effect
 	par *parEngine   // nil unless Options.Parallel selects >= 2 workers
 
-	reachable  map[csMethodKey]bool
-	reachList  []csMethodKey
-	callEdges  map[callEdgeKey]bool
-	ciEdges    map[*lang.Invoke]map[*lang.Method]bool
-	ciMethods  map[*lang.Method]bool
+	reach     []bitset.Set // context ID -> reachable Method.IDs
+	reachList []int32      // reachable csMethods, in reach order
+	ciReach   bitset.Set   // Method.IDs reachable under some context
+
+	callSeen   idTable   // (caller context ID, Invoke.ID) x callee csMethod+1
+	calls      []callRec // every context-sensitive call edge, discovery order
+	ciSites    []ciSite  // Invoke.ID -> context-insensitive callees
+	ciEdges    int       // distinct (call site, callee) pairs
+	dispatched idTable   // (declared callee ID, receiver Class.ID) -> Method.ID, -1 none
+
 	casts      []castSite
-	castSeen   map[castInstKey]bool
 	emptyHeap  *Context
 	work       int64
 	deadline   time.Time
@@ -260,26 +306,22 @@ type solver struct {
 	pending  []*bitset.Set //lint:owner-writes each worker writes only its shard's entries mid-phase
 	freeSets []*bitset.Set // cleared delta sets, reused by grabSet
 
-	// copy-cycle collapsing state (nil/zero under Options.NoOpt)
-	reps         *unionfind.Forest // nil until the first collapse
-	newCopyEdges int               // copy edges since the last SCC pass
-	sccTrigger   int               // pass when newCopyEdges reaches this
+	// edgeTabs holds the duplicate indexes of successor lists past
+	// dupEdgeThreshold (see node.tab).
+	edgeTabs []edgeTab
 
-	masks   map[*lang.Class]*classMask
-	scratch bitset.Set // filtered() output buffer, consumed immediately
+	// copy-cycle collapsing state (nil/zero under Options.NoOpt)
+	reps         *unionfind.Forest    // nil until the first collapse
+	merged       map[int32][]*varInfo // representative -> collapsed members' varInfos
+	newCopyEdges int                  // copy edges since the last SCC pass
+	sccTrigger   int                  // pass when newCopyEdges reaches this
+	sccIdle      int                  // consecutive passes that collapsed nothing
+
+	masks   []*classMask // Class.ID -> filter mask, nil until first used
+	scratch bitset.Set   // filtered() output buffer, consumed immediately
 
 	stats Stats
 	span  trace.Span // the run's "pta.solve" span; zero when untraced
-}
-
-type ctxObjKey struct {
-	ctx *Context
-	obj *Obj
-}
-
-type castInstKey struct {
-	ctx  *Context
-	stmt *lang.Cast
 }
 
 // Result is the outcome of a points-to analysis run.
@@ -343,28 +385,7 @@ func SolveContext(ctx context.Context, prog *lang.Program, opts Options) (res *R
 	if opts.Selector == nil {
 		opts.Selector = CI{}
 	}
-	// Pre-size the hot maps from program shape: statement count bounds
-	// the context-insensitive node/edge population, and undersized maps
-	// pay for themselves many times over in incremental rehashing.
-	st := prog.Stats()
-	s := &solver{
-		prog:        prog,
-		opts:        opts,
-		ctxt:        NewContextTable(),
-		varNodes:    make(map[varKey]int, st.Stmts),
-		fieldNodes:  make(map[fieldKey]int, 2*st.AllocSites),
-		staticNodes: make(map[*lang.Field]int),
-		varIndex:    make(map[*lang.Var][]int, st.Stmts),
-		objCtxIdx:   make(map[ctxObjKey]int, st.AllocSites),
-		reachable:   make(map[csMethodKey]bool, st.Methods),
-		callEdges:   make(map[callEdgeKey]bool, st.Stmts),
-		ciEdges:     make(map[*lang.Invoke]map[*lang.Method]bool, st.Methods),
-		ciMethods:   make(map[*lang.Method]bool, st.Methods),
-		castSeen:    make(map[castInstKey]bool),
-		masks:       make(map[*lang.Class]*classMask),
-		sccTrigger:  sccMinTrigger,
-	}
-	s.emptyHeap = s.ctxt.Empty()
+	s := newSolver(prog, opts)
 	s.span = sp
 	// Poll the context only when it can actually fire. A nil Done channel
 	// means the context can never be cancelled and carries no deadline —
@@ -387,6 +408,7 @@ func SolveContext(ctx context.Context, prog *lang.Program, opts Options) (res *R
 		}
 		s.ren = buildRenumbering(prog, opts.Heap)
 		s.csobjs = make([]*CSObj, s.ren.reserved)
+		s.objFields = make([][]fieldSlot, s.ren.reserved)
 		rsp.Add("reserved_slots", int64(s.ren.reserved))
 		rsp.Add("span_classes", int64(len(s.ren.spans)))
 		rsp.End()
@@ -424,6 +446,51 @@ func SolveContext(ctx context.Context, prog *lang.Program, opts Options) (res *R
 		Duration: time.Since(start),
 		solver:   s,
 	}, nil
+}
+
+// newSolver builds an empty solver for prog. Its tables are pre-sized
+// from program shape: the statement count approximates the node count
+// of a context-insensitive solve, and a context-sensitive one grows
+// geometrically from there.
+func newSolver(prog *lang.Program, opts Options) *solver {
+	st := prog.Stats()
+	s := &solver{
+		prog:        prog,
+		opts:        opts,
+		ctxt:        NewContextTable(),
+		nodes:       make([]node, 0, st.Stmts),
+		queued:      make([]bool, 0, st.Stmts),
+		pending:     make([]*bitset.Set, 0, st.Stmts),
+		csMethods:   make([]csMethod, 0, st.Methods),
+		ciCSM:       filled(len(prog.Methods)),
+		csmIdx:      newIDTable(0, true),
+		methHead:    filled(len(prog.Methods)),
+		varSlots:    make([]int32, 0, st.Stmts),
+		objFields:   make([][]fieldSlot, 0, st.AllocSites),
+		staticNodes: filled(len(prog.Fields)),
+		csobjs:      make([]*CSObj, 0, st.AllocSites),
+		ciObjs:      filled(st.AllocSites),
+		objIdx:      newIDTable(0, true),
+		internLog:   make([]int32, 0, st.AllocSites),
+		reach:       make([]bitset.Set, 1),
+		callSeen:    newIDTable(st.CallSites, false),
+		ciSites:     make([]ciSite, st.CallSites),
+		dispatched:  newIDTable(st.CallSites, true),
+		masks:       make([]*classMask, len(prog.Classes)),
+		sccTrigger:  sccMinTrigger,
+	}
+	s.emptyHeap = s.ctxt.Empty()
+	return s
+}
+
+// filled returns a slice of n entries set to -1 (the "none" marker of
+// the solver's ID-indexed tables).
+func filled(n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = -1
+	}
+	return out
 }
 
 // recordSpan mirrors the run's Stats onto the solve span so the
@@ -519,12 +586,12 @@ func (s *solver) run() (aborted, cancelled, exhausted bool) {
 		// the full points-to set (delta included) across new edges.
 		succ := s.nodes[id].succ
 		for _, e := range succ {
-			s.addPts(e.to, s.filtered(delta, e.filter))
+			s.addPts(int(e.to), s.filtered(delta, e.filter))
 		}
 		if info := s.nodes[id].info; info != nil {
 			s.processVarDelta(info, delta)
 		}
-		for _, vi := range s.nodes[id].merged {
+		for _, vi := range s.mergedInfos(id) {
 			s.processVarDelta(vi, delta)
 		}
 		s.releaseSet(delta)
@@ -618,38 +685,45 @@ func (s *solver) releaseSet(p *bitset.Set) {
 	s.freeSets = append(s.freeSets, p)
 }
 
+// filterClass returns the class of an edge filter (Class.ID+1).
+func (s *solver) filterClass(filter int32) *lang.Class { return s.prog.Classes[filter-1] }
+
 // mask returns filter's class-indexed object mask, extending it over
 // any CSObjs interned since the last use.
 //
-//lint:phase-sequential lazily extends the mask map; prep warms every mask so workers only ever read them
-func (s *solver) mask(filter *lang.Class) *bitset.Set {
-	m := s.masks[filter]
+//lint:phase-sequential lazily extends the mask table; prep warms every mask so workers only ever read them
+func (s *solver) mask(filter int32) *bitset.Set {
+	m := s.masks[filter-1]
 	if m == nil {
 		m = &classMask{}
-		s.masks[filter] = m
+		s.masks[filter-1] = m
 		s.stats.FilterMasks++
 	}
-	for _, id := range s.internLog[m.upTo:] {
-		if s.csobjs[id].Obj.Type.SubtypeOf(filter) {
-			m.set.Add(int(id))
+	if m.upTo < len(s.internLog) {
+		cls := s.filterClass(filter)
+		for _, id := range s.internLog[m.upTo:] {
+			if s.csobjs[id].Obj.Type.SubtypeOf(cls) {
+				m.set.Add(int(id))
+			}
 		}
+		m.upTo = len(s.internLog)
 	}
-	m.upTo = len(s.internLog)
 	return &m.set
 }
 
 // filtered returns delta restricted to objects whose type is a subtype
-// of filter; a nil filter returns delta unchanged. The result may alias
+// of filter; a zero filter returns delta unchanged. The result may alias
 // the solver's scratch buffer and must be consumed before the next
 // filtered call.
-func (s *solver) filtered(delta *bitset.Set, filter *lang.Class) *bitset.Set {
-	if filter == nil {
+func (s *solver) filtered(delta *bitset.Set, filter int32) *bitset.Set {
+	if filter == 0 {
 		return delta //lint:allow bitsetalias documented borrow passthrough: the result aliases an input the caller already borrows and must be consumed before the next filtered call
 	}
 	if s.opts.NoOpt {
+		cls := s.filterClass(filter)
 		out := bitset.New(0)
 		delta.ForEach(func(i int) bool {
-			if s.csobjs[i].Obj.Type.SubtypeOf(filter) {
+			if s.csobjs[i].Obj.Type.SubtypeOf(cls) {
 				out.Add(i)
 			}
 			return true
@@ -657,7 +731,7 @@ func (s *solver) filtered(delta *bitset.Set, filter *lang.Class) *bitset.Set {
 		return out
 	}
 	if s.ren != nil && s.tailObjs == 0 {
-		if sp, ok := s.ren.span(filter); ok {
+		if sp, ok := s.ren.span(s.filterClass(filter)); ok {
 			// Renumbering invariant: every subtype of a non-interface,
 			// non-array filter lives in one reserved ID interval, so the
 			// filter is a word-range intersection — and when the whole
@@ -681,33 +755,172 @@ func (s *solver) newNode(kind nodeKind, info *varInfo) int {
 	return id
 }
 
-func (s *solver) varNode(ctx *Context, v *lang.Var) int {
-	k := varKey{ctx, v}
-	if id, ok := s.varNodes[k]; ok {
-		return id
+// csMethodOf returns the (ctx, m) pair's csMethod, creating it (with an
+// empty var block) on first use.
+func (s *solver) csMethodOf(ctx *Context, m *lang.Method) int {
+	if ctx == s.emptyHeap {
+		for m.ID >= len(s.ciCSM) {
+			s.ciCSM = append(s.ciCSM, -1)
+		}
+		if cm := s.ciCSM[m.ID]; cm >= 0 {
+			return int(cm)
+		}
+		cm := s.newCSMethod(ctx, m)
+		s.ciCSM[m.ID] = int32(cm)
+		return cm
 	}
-	id := s.newNode(nVar, &varInfo{ctx: ctx, v: v})
-	s.varNodes[k] = id
-	s.varIndex[v] = append(s.varIndex[v], id)
+	key := pack2(int(ctx.id), m.ID)
+	if cm, ok := s.csmIdx.get(key, 1); ok {
+		return int(cm)
+	}
+	cm := s.newCSMethod(ctx, m)
+	s.csmIdx.insert(key, 1, int32(cm))
+	return cm
+}
+
+// lookupCSMethod is csMethodOf without creation; -1 when absent.
+func (s *solver) lookupCSMethod(ctx *Context, m *lang.Method) int {
+	if ctx == s.emptyHeap {
+		if m.ID < len(s.ciCSM) {
+			return int(s.ciCSM[m.ID])
+		}
+		return -1
+	}
+	if cm, ok := s.csmIdx.get(pack2(int(ctx.id), m.ID), 1); ok {
+		return int(cm)
+	}
+	return -1
+}
+
+func (s *solver) newCSMethod(ctx *Context, m *lang.Method) int {
+	for m.ID >= len(s.methHead) {
+		s.methHead = append(s.methHead, -1)
+	}
+	cm := len(s.csMethods)
+	s.csMethods = append(s.csMethods, csMethod{ctx: ctx, m: m, next: s.methHead[m.ID]})
+	s.methHead[m.ID] = int32(cm)
+	s.allocVarBlock(cm)
+	return cm
+}
+
+// allocVarBlock gives csMethod cm a fresh block covering every current
+// local of its method, copying the old block's slots. A method without
+// an exception variable gets one spare slot: the solver itself creates
+// $exc lazily (lang.Method.ExcVar) when the method first takes part in
+// a call edge, and the spare keeps that from relocating the block.
+func (s *solver) allocVarBlock(cm int) {
+	c := &s.csMethods[cm]
+	n := len(c.m.Locals)
+	if !c.m.IsAbstract && !c.m.HasExcVar() {
+		n++
+	}
+	base := len(s.varSlots)
+	for i := 0; i < n; i++ {
+		s.varSlots = append(s.varSlots, -1)
+	}
+	copy(s.varSlots[base:], s.varSlots[c.base:c.base+c.n])
+	c.base, c.n = int32(base), int32(n)
+}
+
+// varSlot returns the node of variable v of csMethod cm, creating it on
+// first use.
+func (s *solver) varSlot(cm int, v *lang.Var) int {
+	if v.Index >= int(s.csMethods[cm].n) {
+		s.allocVarBlock(cm)
+	}
+	c := &s.csMethods[cm]
+	i := int(c.base) + v.Index
+	if id := s.varSlots[i]; id >= 0 {
+		return int(id)
+	}
+	id := s.newNode(nVar, &varInfo{ctx: c.ctx, v: v})
+	s.varSlots[i] = int32(id)
 	return id
 }
 
+func (s *solver) varNode(ctx *Context, v *lang.Var) int {
+	return s.varSlot(s.csMethodOf(ctx, v.Method), v)
+}
+
+// lookupVar returns v's node under ctx without creating it; -1 when the
+// solve never touched it.
+func (s *solver) lookupVar(ctx *Context, v *lang.Var) int {
+	cm := s.lookupCSMethod(ctx, v.Method)
+	if cm < 0 {
+		return -1
+	}
+	c := &s.csMethods[cm]
+	if v.Index >= int(c.n) {
+		return -1
+	}
+	return int(s.varSlots[int(c.base)+v.Index])
+}
+
+// forEachVarNode calls fn with every node of v, one per context the
+// solve analyzed v's method under.
+func (s *solver) forEachVarNode(v *lang.Var, fn func(id int)) {
+	m := v.Method
+	if m == nil || m.ID >= len(s.methHead) {
+		return
+	}
+	for cm := s.methHead[m.ID]; cm >= 0; cm = s.csMethods[cm].next {
+		c := &s.csMethods[cm]
+		if c.m != m || v.Index >= int(c.n) {
+			continue
+		}
+		if id := s.varSlots[int(c.base)+v.Index]; id >= 0 {
+			fn(int(id))
+		}
+	}
+}
+
+// fieldNode returns the node of CSObj obj's field f, creating it on
+// first use. An object's slots stay sorted by field ID, so lookup is a
+// binary search over the few fields the solve ever touched on it.
 func (s *solver) fieldNode(obj int, f *lang.Field) int {
-	k := fieldKey{obj, f}
-	if id, ok := s.fieldNodes[k]; ok {
-		return id
+	fs := s.objFields[obj]
+	i, ok := searchField(fs, int32(f.ID))
+	if ok {
+		return int(fs[i].node)
 	}
 	id := s.newNode(nInstField, nil)
-	s.fieldNodes[k] = id
+	s.objFields[obj] = slices.Insert(fs, i, fieldSlot{field: int32(f.ID), node: int32(id)})
 	return id
+}
+
+// lookupField is fieldNode without creation; -1 when absent.
+func (s *solver) lookupField(obj int, f *lang.Field) int {
+	fs := s.objFields[obj]
+	if i, ok := searchField(fs, int32(f.ID)); ok {
+		return int(fs[i].node)
+	}
+	return -1
+}
+
+// searchField returns the position of field fid in fs (sorted by
+// field), or where it would be inserted.
+func searchField(fs []fieldSlot, fid int32) (int, bool) {
+	lo, hi := 0, len(fs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if fs[m].field < fid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(fs) && fs[lo].field == fid
 }
 
 func (s *solver) staticNode(f *lang.Field) int {
-	if id, ok := s.staticNodes[f]; ok {
-		return id
+	for f.ID >= len(s.staticNodes) {
+		s.staticNodes = append(s.staticNodes, -1)
+	}
+	if id := s.staticNodes[f.ID]; id >= 0 {
+		return int(id)
 	}
 	id := s.newNode(nStaticField, nil)
-	s.staticNodes[f] = id
+	s.staticNodes[f.ID] = int32(id)
 	return id
 }
 
@@ -718,9 +931,15 @@ func (s *solver) staticNode(f *lang.Field) int {
 // which disables the range-filter fast path but never affects
 // correctness.
 func (s *solver) csObj(ctx *Context, o *Obj) int {
-	k := ctxObjKey{ctx, o}
-	if id, ok := s.objCtxIdx[k]; ok {
-		return id
+	if ctx == s.emptyHeap {
+		for o.ID >= len(s.ciObjs) {
+			s.ciObjs = append(s.ciObjs, -1)
+		}
+		if id := s.ciObjs[o.ID]; id >= 0 {
+			return int(id)
+		}
+	} else if id, ok := s.objIdx.get(pack2(int(ctx.id), o.ID), 1); ok {
+		return int(id)
 	}
 	id := -1
 	if s.ren != nil {
@@ -733,17 +952,37 @@ func (s *solver) csObj(ctx *Context, o *Obj) int {
 		if id < 0 {
 			id = len(s.csobjs)
 			s.csobjs = append(s.csobjs, nil)
+			s.objFields = append(s.objFields, nil)
 			s.tailObjs++
 		}
 		s.csobjs[id] = &CSObj{ID: id, Ctx: ctx, Obj: o}
 	} else {
 		id = len(s.csobjs)
 		s.csobjs = append(s.csobjs, &CSObj{ID: id, Ctx: ctx, Obj: o})
+		s.objFields = append(s.objFields, nil)
 	}
 	s.numCSObjs++
 	s.internLog = append(s.internLog, int32(id))
-	s.objCtxIdx[k] = id
+	if ctx == s.emptyHeap {
+		s.ciObjs[o.ID] = int32(id)
+	} else {
+		s.objIdx.insert(pack2(int(ctx.id), o.ID), 1, int32(id))
+	}
 	return id
+}
+
+// lookupCSObj is csObj without interning; -1 when absent.
+func (s *solver) lookupCSObj(ctx *Context, o *Obj) int {
+	if ctx == s.emptyHeap {
+		if o.ID < len(s.ciObjs) {
+			return int(s.ciObjs[o.ID])
+		}
+		return -1
+	}
+	if id, ok := s.objIdx.get(pack2(int(ctx.id), o.ID), 1); ok {
+		return int(id)
+	}
+	return -1
 }
 
 // addPts merges set into node id's points-to set, queueing the newly
@@ -802,45 +1041,61 @@ func (s *solver) queue(id int) {
 }
 
 // addEdge inserts a flow edge and replays the source's current
-// points-to set across it. Duplicate edges are suppressed — by a linear
-// scan while the successor list is short, by a hash set once it grows.
+// points-to set across it. filter is the cast/catch filter class, nil
+// for a copy edge.
 func (s *solver) addEdge(from, to int, filter *lang.Class) {
-	s.addEdgeIf(from, to, filter, true)
+	s.addEdgeIf(from, to, classFilter(filter), true)
+}
+
+// classFilter encodes a filter class as an edge filter (Class.ID+1).
+func classFilter(c *lang.Class) int32 {
+	if c == nil {
+		return 0
+	}
+	return int32(c.ID) + 1
 }
 
 // addEdgeIf is addEdge with the replay made optional. The warm seeder
 // passes replay=false for edges whose target's set was installed from
 // the base fixpoint and already contains everything the source would
 // push — skipping those full-set unions is most of the seeding win.
-func (s *solver) addEdgeIf(from, to int, filter *lang.Class, replay bool) {
+//
+// Duplicate edges are suppressed by a linear scan while the successor
+// list is short, and by one probe of the list's edgeTab once it has
+// outgrown dupEdgeThreshold; no per-node map is ever allocated.
+func (s *solver) addEdgeIf(from, to int, filter int32, replay bool) {
 	from, to = s.find(from), s.find(to)
-	if from == to && filter == nil {
+	if from == to && filter == 0 {
 		return
 	}
 	n := &s.nodes[from]
-	e := edge{to: to, filter: filter}
-	if n.edgeSet != nil {
-		if _, dup := n.edgeSet[e]; dup {
-			return
-		}
-		n.edgeSet[e] = struct{}{}
-	} else {
+	e := edge{to: int32(to), filter: filter}
+	if n.tab == 0 {
 		for _, old := range n.succ {
 			if old == e {
 				return
 			}
 		}
 		if len(n.succ) >= dupEdgeThreshold {
-			n.edgeSet = make(map[edge]struct{}, len(n.succ)+1)
-			for _, old := range n.succ {
-				n.edgeSet[old] = struct{}{}
-			}
-			n.edgeSet[e] = struct{}{}
+			s.edgeTabs = append(s.edgeTabs, newEdgeTab(n.succ))
+			n.tab = int32(len(s.edgeTabs))
 		}
+	}
+	if n.tab != 0 {
+		t := s.edgeTabs[n.tab-1]
+		if 2*(len(n.succ)+1) > len(t) {
+			t = newEdgeTab(n.succ)
+			s.edgeTabs[n.tab-1] = t
+		}
+		slot, dup := t.lookup(n.succ, e)
+		if dup {
+			return
+		}
+		t[slot] = int32(len(n.succ)) + 1
 	}
 	n.succ = append(n.succ, e)
 	s.stats.Edges++
-	if filter == nil {
+	if filter == 0 {
 		s.stats.CopyEdges++
 		s.newCopyEdges++
 	} else if s.par != nil {
@@ -855,22 +1110,41 @@ func (s *solver) addEdgeIf(from, to int, filter *lang.Class, replay bool) {
 	}
 }
 
-// makeReachable marks (ctx, m) reachable and processes its body once.
-func (s *solver) makeReachable(ctx *Context, m *lang.Method) {
-	k := csMethodKey{ctx, m}
-	if s.reachable[k] {
-		return
+// isReachable reports whether (ctx, m) was marked reachable.
+func (s *solver) isReachable(ctx *Context, m *lang.Method) bool {
+	return int(ctx.id) < len(s.reach) && s.reach[ctx.id].Contains(m.ID)
+}
+
+// markReachable records (ctx, m) as reachable; it reports false when it
+// already was.
+func (s *solver) markReachable(ctx *Context, m *lang.Method, cm int) bool {
+	if s.isReachable(ctx, m) {
+		return false
 	}
 	if m.IsAbstract {
 		panic(fmt.Sprintf("pta: abstract method %s became reachable", m))
 	}
-	s.reachable[k] = true
-	s.reachList = append(s.reachList, k)
-	s.ciMethods[m] = true
+	for int(ctx.id) >= len(s.reach) {
+		s.reach = append(s.reach, bitset.Set{})
+	}
+	s.reach[ctx.id].Add(m.ID)
+	s.reachList = append(s.reachList, int32(cm))
+	s.ciReach.Add(m.ID)
 	s.chargeWork(1)
+	return true
+}
+
+// makeReachable marks (ctx, m) reachable and processes its body once;
+// it returns the pair's csMethod.
+func (s *solver) makeReachable(ctx *Context, m *lang.Method) int {
+	cm := s.csMethodOf(ctx, m)
+	if !s.markReachable(ctx, m, cm) {
+		return cm
+	}
 	for _, st := range m.Stmts {
 		s.processStmt(ctx, m, st)
 	}
+	return cm
 }
 
 func (s *solver) processStmt(ctx *Context, m *lang.Method, st lang.Stmt) {
@@ -892,11 +1166,9 @@ func (s *solver) processStmt(ctx *Context, m *lang.Method, st lang.Stmt) {
 	case *lang.Cast:
 		rhs := s.varNode(ctx, stmt.RHS)
 		s.addEdge(rhs, s.varNode(ctx, stmt.LHS), stmt.Type)
-		ck := castInstKey{ctx, stmt}
-		if !s.castSeen[ck] {
-			s.castSeen[ck] = true
-			s.casts = append(s.casts, castSite{stmt: stmt, rhsNode: rhs})
-		}
+		// A (ctx, method) body is processed once, so each cast
+		// occurrence is recorded once.
+		s.casts = append(s.casts, castSite{stmt: stmt, rhsNode: rhs})
 
 	case *lang.Load:
 		base := s.varNode(ctx, stmt.Base)
@@ -926,8 +1198,9 @@ func (s *solver) processStmt(ctx *Context, m *lang.Method, st lang.Stmt) {
 		default: // virtual and special calls dispatch/bind per receiver object
 			base := s.varNode(ctx, stmt.Base)
 			info := s.nodes[base].info
-			info.invokes = append(info.invokes, stmt)
-			s.replayBase(base, func(obj int) { s.applyInvoke(ctx, obj, stmt) })
+			info.invokes = append(info.invokes, invokeSite{inv: stmt, cm: -1})
+			k := len(info.invokes) - 1
+			s.replayBase(base, func(obj int) { s.applyInvoke(info, k, obj) })
 		}
 
 	case *lang.Return:
@@ -965,7 +1238,6 @@ func (s *solver) replayBase(base int, fn func(obj int)) {
 
 // processVarDelta reacts to growth of a variable's points-to set.
 func (s *solver) processVarDelta(info *varInfo, delta *bitset.Set) {
-	ctx := info.ctx
 	delta.ForEach(func(obj int) bool {
 		for _, ld := range info.loads {
 			s.applyLoad(obj, ld)
@@ -973,11 +1245,20 @@ func (s *solver) processVarDelta(info *varInfo, delta *bitset.Set) {
 		for _, st := range info.stores {
 			s.applyStore(obj, st)
 		}
-		for _, inv := range info.invokes {
-			s.applyInvoke(ctx, obj, inv)
+		for k := range info.invokes {
+			s.applyInvoke(info, k, obj)
 		}
 		return true
 	})
+}
+
+// mergedInfos returns the varInfos of the members collapsed into node
+// id (nil unless id is a cycle representative).
+func (s *solver) mergedInfos(id int) []*varInfo {
+	if !s.nodes[id].merged {
+		return nil
+	}
+	return s.merged[int32(id)]
 }
 
 func (s *solver) applyLoad(obj int, ld loadSite) {
@@ -988,20 +1269,45 @@ func (s *solver) applyStore(obj int, st storeSite) {
 	s.addEdge(st.rhs, s.fieldNode(obj, st.field), nil)
 }
 
-// applyInvoke dispatches inv on receiver object obj and wires the call
-// edge. There is deliberately no (ctx, inv, obj) seen-cache in front of
-// it: deltas are disjoint from previously propagated bits, so a pair
-// can repeat only through a statement replay overlapping a pending
-// delta or a post-collapse re-propagation — both bounded — and
-// addCallEdge deduplicates the edge itself. The former cache's hashing
-// and rehash churn dominated the solver's profile.
-func (s *solver) applyInvoke(ctx *Context, obj int, inv *lang.Invoke) {
+// dispatch resolves a virtual call whose declared callee is decl on a
+// receiver of runtime class cls, or nil when cls has no implementation.
+// Results are memoised per (declared callee, class): many call sites
+// share one declaration, and the propagation loop then never hashes a
+// signature string.
+func (s *solver) dispatch(decl *lang.Method, cls *lang.Class) *lang.Method {
+	key := pack2(decl.ID, cls.ID)
+	if id, ok := s.dispatched.get(key, 1); ok {
+		if id < 0 {
+			return nil
+		}
+		return s.prog.Methods[id]
+	}
+	m := cls.Dispatch(decl.Sig())
+	id := int32(-1)
+	if m != nil {
+		id = int32(m.ID)
+	}
+	s.dispatched.insert(key, 1, id)
+	return m
+}
+
+// applyInvoke dispatches invoke site k of info on receiver object obj
+// and wires the call edge. There is deliberately no (ctx, inv, obj)
+// seen-cache in front of it: deltas are disjoint from previously
+// propagated bits, so a pair can repeat only through a statement replay
+// overlapping a pending delta or a post-collapse re-propagation — both
+// bounded — and addCallEdge deduplicates the edge itself. The site's
+// memo only skips work whose outcome is already known.
+func (s *solver) applyInvoke(info *varInfo, k int, obj int) {
+	site := &info.invokes[k]
+	inv := site.inv
 	recv := s.csobjs[obj]
-	var callee *lang.Method
-	if inv.Kind == lang.SpecialCall {
-		callee = inv.Callee
-	} else {
-		callee = recv.Obj.Type.Dispatch(inv.Callee.Sig())
+	callee := inv.Callee
+	if inv.Kind != lang.SpecialCall {
+		if cls := recv.Obj.Type; site.cls != cls {
+			site.cls, site.callee, site.cm = cls, s.dispatch(inv.Callee, cls), -1
+		}
+		callee = site.callee
 		if callee == nil {
 			// No implementation for this runtime type (e.g. an object of an
 			// unrelated type flowed here imprecisely); skip, as a JVM would
@@ -1009,38 +1315,65 @@ func (s *solver) applyInvoke(ctx *Context, obj int, inv *lang.Invoke) {
 			return
 		}
 	}
-	calleeCtx := s.opts.Selector.CalleeContext(s.ctxt, ctx, inv, callee, recv)
-	s.addCallEdge(ctx, inv, calleeCtx, callee, obj)
+	calleeCtx := s.opts.Selector.CalleeContext(s.ctxt, info.ctx, inv, callee, recv)
+	if site.cm >= 0 && site.calleeCtx == calleeCtx {
+		// The edge to (calleeCtx, callee) is wired and the callee
+		// reachable: only the receiver binding can be new.
+		if callee.This != nil {
+			s.addPtsOne(s.varSlot(int(site.cm), callee.This), obj)
+		}
+		return
+	}
+	cm := s.addCallEdge(info.ctx, inv, calleeCtx, callee, obj)
+	site = &info.invokes[k]
+	site.calleeCtx, site.cm = calleeCtx, int32(cm)
 }
 
 // addCallEdge links a (caller, call-site) to a (calleeCtx, callee):
 // binds the receiver, wires argument/return edges once per edge, and
-// makes the callee reachable.
-func (s *solver) addCallEdge(callerCtx *Context, inv *lang.Invoke, calleeCtx *Context, callee *lang.Method, recvObj int) {
-	s.makeReachable(calleeCtx, callee)
+// makes the callee reachable. It returns the callee's csMethod.
+func (s *solver) addCallEdge(callerCtx *Context, inv *lang.Invoke, calleeCtx *Context, callee *lang.Method, recvObj int) int {
+	cm := s.makeReachable(calleeCtx, callee)
 	if recvObj >= 0 && callee.This != nil {
-		s.addPtsOne(s.varNode(calleeCtx, callee.This), recvObj)
+		s.addPtsOne(s.varSlot(cm, callee.This), recvObj)
 	}
-	k := callEdgeKey{callerCtx, inv, calleeCtx, callee}
-	if s.callEdges[k] {
-		return
+	if !s.recordCall(callerCtx, inv, cm) {
+		return cm
 	}
-	s.callEdges[k] = true
-	tgts := s.ciEdges[inv]
-	if tgts == nil {
-		tgts = make(map[*lang.Method]bool)
-		s.ciEdges[inv] = tgts
-	}
-	tgts[callee] = true
 	for i, a := range inv.Args {
-		s.addEdge(s.varNode(callerCtx, a), s.varNode(calleeCtx, callee.Params[i]), nil)
+		s.addEdge(s.varNode(callerCtx, a), s.varSlot(cm, callee.Params[i]), nil)
 	}
 	if inv.LHS != nil && callee.RetVar != nil {
-		s.addEdge(s.varNode(calleeCtx, callee.RetVar), s.varNode(callerCtx, inv.LHS), nil)
+		s.addEdge(s.varSlot(cm, callee.RetVar), s.varNode(callerCtx, inv.LHS), nil)
 	}
 	// Exceptions escaping the callee may escape the caller too. The edge
 	// is added unconditionally: the callee's $exc may only be populated
 	// later (e.g. by a throw in one of its own callees), and an edge
 	// over still-empty sets costs nothing.
-	s.addEdge(s.varNode(calleeCtx, callee.ExcVar()), s.varNode(callerCtx, inv.In.ExcVar()), nil)
+	s.addEdge(s.varSlot(cm, callee.ExcVar()), s.varNode(callerCtx, inv.In.ExcVar()), nil)
+	return cm
+}
+
+// recordCall records the call edge (callerCtx, inv) -> csMethod cm in
+// the context-sensitive and context-insensitive call graphs; it reports
+// false when the edge was already known.
+func (s *solver) recordCall(callerCtx *Context, inv *lang.Invoke, cm int) bool {
+	if !s.callSeen.add(pack2(int(callerCtx.id), inv.ID), int32(cm)+1) {
+		return false
+	}
+	s.calls = append(s.calls, callRec{inv: inv, callerCtx: callerCtx, callee: int32(cm)})
+	for inv.ID >= len(s.ciSites) {
+		s.ciSites = append(s.ciSites, ciSite{})
+	}
+	site := &s.ciSites[inv.ID]
+	site.inv = inv
+	callee := s.csMethods[cm].m
+	for _, m := range site.callees {
+		if m == callee {
+			return true
+		}
+	}
+	site.callees = append(site.callees, callee)
+	s.ciEdges++
+	return true
 }

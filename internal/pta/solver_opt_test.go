@@ -142,10 +142,11 @@ func TestFilterMasksMatchSubtypeOf(t *testing.T) {
 			t.Fatalf("seed %d: Solve: %v", seed, err)
 		}
 		s := r.solver
-		if len(s.masks) == 0 {
-			continue // program happened to have no reachable casts
-		}
-		for cls, m := range s.masks {
+		for clsID, m := range s.masks {
+			if m == nil {
+				continue // no cast/catch filters on this class
+			}
+			cls := prog.Classes[clsID]
 			// upTo indexes the interning log, not the ID space: under
 			// renumbering objects intern into reserved slots out of ID
 			// order, and the log is what mask extension walks.
